@@ -24,13 +24,15 @@ import re
 import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..envknobs import env_flag
 from .serialize import CheckpointCorrupt, dump, load
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
 def checkpoint_enabled() -> bool:
-    return os.environ.get("REPRO_CKPT", "1") not in ("", "0")
+    """The ``REPRO_CKPT`` flag (default on; junk values raise)."""
+    return env_flag("REPRO_CKPT", True)
 
 
 def mark_interval() -> int:

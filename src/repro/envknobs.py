@@ -45,7 +45,8 @@ def env_tristate(name: str):
     Unset, empty, and ``auto`` all mean "defer"; ``0``/``1`` force the
     knob off/on; anything else raises ``ValueError`` naming the
     variable.  This is the ``REPRO_PROGRESS`` convention (see
-    :mod:`repro.obs.progress`), shared by ``REPRO_FASTPATH``.
+    :mod:`repro.obs.progress`), shared by ``REPRO_TRACE_STREAM`` and
+    ``REPRO_SAMPLING``.
     """
     raw = os.environ.get(name, "")
     if raw in ("", "auto"):

@@ -71,14 +71,12 @@ class DRAM:
         self._free: List[float] = [0.0] * channels
         self.stats = DRAMStats()
 
-    def _channel(self, blk: int) -> int:
-        return blk % self.channels
-
     def access(self, blk: int, now: float, is_write: bool = False,
                is_prefetch: bool = False) -> float:
         """Issue one block transfer; returns its latency in cycles."""
-        ch = self._channel(blk)
-        start = max(now, self._free[ch])
+        ch = blk % self.channels
+        free = self._free[ch]
+        start = free if free > now else now
         queue = start - now
         self._free[ch] = start + self.service_cycles
         self.stats.total_queue_cycles += queue

@@ -5,10 +5,9 @@ The cache calls three hooks:
 
 * ``on_hit(set_idx, way)``   - a lookup hit way ``way``
 * ``on_fill(set_idx, way, blk, pc)`` - a new block was installed
-* ``victim(set_idx, ways)``  - choose a way to evict among ``ways``
-  candidate way indices (the cache passes only the ways that belong to
-  the data partition, which is how LLC way-partitioning composes with
-  replacement).
+* ``victim(set_idx, nd)``  - choose a way to evict among ways
+  ``0 .. nd-1``: the ways that belong to the set's data partition, which
+  is how LLC way-partitioning composes with replacement.
 
 Implemented policies:
 
@@ -26,7 +25,7 @@ Implemented policies:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -48,7 +47,7 @@ class ReplacementPolicy:
     def on_fill(self, set_idx: int, way: int, blk: int = 0, pc: int = 0) -> None:
         raise NotImplementedError
 
-    def victim(self, set_idx: int, ways: Sequence[int]) -> int:
+    def victim(self, set_idx: int, nd: int) -> int:
         raise NotImplementedError
 
     def state_dict(self) -> Dict[str, object]:
@@ -69,19 +68,19 @@ class LRUPolicy(ReplacementPolicy):
         self._clock = 0
         self._stamp = [[0] * num_ways for _ in range(num_sets)]
 
-    def _touch(self, set_idx: int, way: int) -> None:
+    def on_hit(self, set_idx: int, way: int) -> None:
         self._clock += 1
         self._stamp[set_idx][way] = self._clock
 
-    def on_hit(self, set_idx: int, way: int) -> None:
-        self._touch(set_idx, way)
-
     def on_fill(self, set_idx: int, way: int, blk: int = 0, pc: int = 0) -> None:
-        self._touch(set_idx, way)
+        self._clock += 1
+        self._stamp[set_idx][way] = self._clock
 
-    def victim(self, set_idx: int, ways: Sequence[int]) -> int:
-        stamps = self._stamp[set_idx]
-        return min(ways, key=lambda w: stamps[w])
+    def victim(self, set_idx: int, nd: int) -> int:
+        # The first least-recent way: the first occurrence of the
+        # minimum over ways 0..nd-1 lies below ``nd``.
+        row = self._stamp[set_idx]
+        return row.index(min(row[:nd]))
 
     def stack_distance(self, set_idx: int, way: int) -> int:
         """Number of ways in this set more recently used than ``way``.
@@ -118,14 +117,16 @@ class SRRIPPolicy(ReplacementPolicy):
     def on_fill(self, set_idx: int, way: int, blk: int = 0, pc: int = 0) -> None:
         self._rrpv[set_idx][way] = self.MAX_RRPV - 1
 
-    def victim(self, set_idx: int, ways: Sequence[int]) -> int:
+    def victim(self, set_idx: int, nd: int) -> int:
+        # RRPVs never exceed MAX_RRPV (aging stops as soon as one way
+        # reaches it), so the first distant way is an exact-match scan.
         rrpv = self._rrpv[set_idx]
         while True:
-            for w in ways:
-                if rrpv[w] >= self.MAX_RRPV:
-                    return w
-            for w in ways:
-                rrpv[w] += 1
+            try:
+                return rrpv.index(self.MAX_RRPV, 0, nd)
+            except ValueError:
+                for w in range(nd):
+                    rrpv[w] += 1
 
     def state_dict(self) -> Dict[str, object]:
         return {"rrpv": np.asarray(self._rrpv, dtype=np.int64)}
@@ -149,13 +150,13 @@ class RandomPolicy(ReplacementPolicy):
     def on_fill(self, set_idx: int, way: int, blk: int = 0, pc: int = 0) -> None:
         pass
 
-    def victim(self, set_idx: int, ways: Sequence[int]) -> int:
+    def victim(self, set_idx: int, nd: int) -> int:
         s = self._state
         s ^= (s << 13) & 0xFFFFFFFF
         s ^= s >> 17
         s ^= (s << 5) & 0xFFFFFFFF
         self._state = s
-        return ways[s % len(ways)]
+        return s % nd
 
     def state_dict(self) -> Dict[str, object]:
         return {"state": self._state}
@@ -254,12 +255,12 @@ class HawkeyeLitePolicy(ReplacementPolicy):
         self._line_pc[set_idx][way] = pc
         self._rrpv[set_idx][way] = 0 if self._predict_friendly(pc) else 7
 
-    def victim(self, set_idx: int, ways: Sequence[int]) -> int:
+    def victim(self, set_idx: int, nd: int) -> int:
         rrpv = self._rrpv[set_idx]
-        best = max(ways, key=lambda w: rrpv[w])
+        best = rrpv.index(max(rrpv[:nd]))
         if rrpv[best] < 7:
             # age everyone, evict oldest friendly line
-            for w in ways:
+            for w in range(nd):
                 rrpv[w] = min(6, rrpv[w] + 1)
         return best
 

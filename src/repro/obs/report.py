@@ -290,8 +290,8 @@ def render_compare(a: RunSummary, b: RunSummary, top: int = 10) -> str:
     """Side-by-side diff of two runs: overview, per-job wall times
     (matched by fingerprint), and the component/phase breakdowns.
 
-    The canonical use is perf work: run a sweep twice (say fast path
-    off and on, or before and after an engine change), then diff where
+    The canonical use is perf work: run a sweep twice (say before and
+    after an engine change), then diff where
     the time went.  ``b`` is read as "after": deltas and ratios are
     ``b`` relative to ``a``.
     """

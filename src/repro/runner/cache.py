@@ -39,6 +39,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from ..envknobs import env_flag
 from .jobs import JobResult
 
 #: Sidecar suffix holding each entry's hex sha256.
@@ -46,7 +47,8 @@ DIGEST_SUFFIX = ".sha256"
 
 
 def cache_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1") not in ("", "0")
+    """The ``REPRO_CACHE`` flag (default on; junk values raise)."""
+    return env_flag("REPRO_CACHE", True)
 
 
 def default_cache_dir() -> pathlib.Path:

@@ -147,22 +147,15 @@ class SimJob:
         """JSON-friendly, key-sorted description of the job.
 
         ``resume`` is deliberately absent: resumed and straight runs are
-        bit-identical, so they must share one cache entry.  For the same
-        reason ``config.fastpath`` is dropped: it is a pure execution
-        strategy (repro.sim.fastpath) whose results are bit-identical to
-        the scalar path, so fast and scalar runs share cache entries and
-        the canonical form is unchanged from before the field existed
-        (no schema bump needed).
+        bit-identical, so they must share one cache entry.
         """
-        config = dataclasses.asdict(self.config)
-        config.pop("fastpath", None)
         return {
             "schema": SCHEMA_VERSION,
             "kind": self.kind,
             "workloads": list(self.workloads),
             "n": self.n,
             "seed": self.seed,
-            "config": config,
+            "config": dataclasses.asdict(self.config),
             "l1": self.l1.canonical() if self.l1 else None,
             "l2": [s.canonical() for s in self.l2],
             "probes": list(self.probes),
@@ -189,7 +182,6 @@ class SimJob:
         """
         config = dataclasses.asdict(self.config)
         config["telemetry"] = None
-        config.pop("fastpath", None)   # execution strategy, like resume
         return {
             "schema": SCHEMA_VERSION,
             "ckpt_format": CKPT_FORMAT_VERSION,
@@ -227,8 +219,8 @@ class SimJob:
             if self.window is not None:
                 # Representative-interval execution: simulate only the
                 # window, warming up over its bounded prefix.  The
-                # window view satisfies the TraceSource protocol, so
-                # scalar and fast paths both run unchanged.
+                # window view satisfies the TraceSource protocol, so the
+                # engine runs it unchanged.
                 from ..sim.trace import TraceWindow
                 start, warm, stop = self.window
                 win = TraceWindow(trace, start, stop)

@@ -141,8 +141,8 @@ def _sampling(context: ProbeContext) -> Dict[str, Any]:
         return {"enabled": False}
     return {
         "enabled": True,
-        # Private by convention, stable by contract: the fast path and
-        # the checkpoint layer read the same stepping counters.
+        # Private by convention, stable by contract: the checkpoint
+        # layer reads the same stepping counters.
         "simulated": list(eng._counts),
         "warmups": list(eng._warmups),
         "trace_lengths": [len(t) for t in eng.traces],

@@ -15,8 +15,8 @@ containing the workload).  Two layers cover the two scales:
   consumer replays it as an mmap-backed
   :class:`~repro.tracestream.StreamingTrace` in constant memory.
   Results are bit-identical to the in-memory path — the knob is a pure
-  execution strategy and is excluded from job fingerprints (the
-  ``config.fastpath`` precedent in :mod:`repro.runner.jobs`).
+  execution strategy and is excluded from job fingerprints (like
+  ``SimJob.resume`` in :mod:`repro.runner.jobs`).
   ``REPRO_TRACE_STREAM=0`` forces the in-memory path; unset/``auto``
   currently defaults to in-memory.
 
@@ -71,8 +71,9 @@ def _capacity() -> int:
 def streaming_enabled() -> bool:
     """Whether trace acquisition goes through the on-disk store.
 
-    ``REPRO_TRACE_STREAM`` is validated tri-state (the ``REPRO_FASTPATH``
-    convention): ``1`` forces streaming, ``0`` forces in-memory,
+    ``REPRO_TRACE_STREAM`` is a validated tri-state
+    (:func:`repro.envknobs.env_tristate`): ``1`` forces streaming, ``0``
+    forces in-memory,
     unset/``auto`` defers to the default (in-memory for now — flipping
     the default is a one-line change here once streaming has soaked).
     """

@@ -27,7 +27,7 @@ observed error is inside its declared bound.
 
 Knobs (validated; errors name the variable):
 
-* ``REPRO_SAMPLING`` — tri-state like ``REPRO_FASTPATH``: unset/
+* ``REPRO_SAMPLING`` — tri-state like ``REPRO_TRACE_STREAM``: unset/
   ``auto`` defers to the caller's default (off everywhere except the
   sampled ``fig9s`` experiment), ``0``/``1`` force it.  Never enters
   job fingerprints: windowed jobs key their *own* cache entries via

@@ -19,8 +19,8 @@ def sampling_enabled(default: bool = False) -> bool:
     Experiments that are *about* sampling (``fig9s``) pass
     ``default=True``; everything else defaults off, keeping default
     outputs bit-identical to a world without this subsystem.  Like
-    ``REPRO_FASTPATH``/``REPRO_TRACE_STREAM`` the knob never enters job
-    fingerprints — but unlike those, sampling is *not* bit-identical,
+    ``REPRO_TRACE_STREAM`` the knob never enters job fingerprints — but
+    unlike it, sampling is *not* bit-identical,
     so it selects which jobs are submitted (windowed ones, keyed by
     ``SimJob.window``) rather than how one job executes.
     """

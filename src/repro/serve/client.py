@@ -32,7 +32,7 @@ def serve_url() -> Optional[str]:
     """The client-side opt-in: a base URL from ``REPRO_SERVE_URL``, or
     None (unset/empty/``0``) meaning "execute in-process as always".
 
-    A pure execution-routing knob, like ``resume`` and ``fastpath``: it
+    A pure execution-routing knob, like ``resume``: it
     never enters job fingerprints, so served and direct runs share
     cache entries (and must be byte-identical — pinned by
     ``tests/test_serve.py``).

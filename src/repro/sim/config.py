@@ -21,6 +21,12 @@ from ..telemetry.config import TelemetryConfig
 CHANNELS_BY_CORES: Dict[int, int] = {1: 1, 2: 2, 4: 2, 8: 4}
 
 
+def _size(nbytes: int) -> str:
+    """``2MB`` for whole megabytes, else ``512KB``."""
+    mb = 1024 * 1024
+    return f"{nbytes // mb}MB" if nbytes % mb == 0 else f"{nbytes // 1024}KB"
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Everything the engine needs to build one simulated system."""
@@ -61,13 +67,6 @@ class SystemConfig:
     # Participates in job fingerprints, so telemetry-on runs key their
     # own cache entries.  See repro.telemetry.
     telemetry: Optional[TelemetryConfig] = None
-
-    # Engine fast path (see repro.sim.fastpath).  Pure execution
-    # strategy: results are bit-identical either way, so - like
-    # SimJob.resume - it is excluded from job fingerprints.  None defers
-    # to the REPRO_FASTPATH tri-state environment knob; True/False force
-    # it for this system regardless of the environment.
-    fastpath: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
@@ -119,8 +118,8 @@ class SystemConfig:
                     f"{self.l1d_latency}-cycle latency"),
             ("L2", f"{self.l2_size // 1024}KB, {self.l2_ways}-way, "
                    f"{self.l2_latency}-cycle latency"),
-            ("LLC", f"{self.llc_size // (1024 * 1024)}MB "
-                    f"({self.llc_size_per_core // (1024 * 1024)}MB/core), "
+            ("LLC", f"{_size(self.llc_size)} "
+                    f"({_size(self.llc_size_per_core)}/core), "
                     f"{self.llc_ways}-way, {self.llc_latency}-cycle latency"),
             ("DRAM", f"{self.dram_mt_per_sec:.0f} MT/s, "
                      f"{self.channels} channel(s), "

@@ -37,7 +37,6 @@ from ..telemetry import TelemetryHarness
 from ..tracestream.chunk import MARK_CKPT, Mark
 from ..tracestream.stages import chunks_of, insert_marks
 from ..tracestream.stages import records as stream_records
-from . import fastpath
 from .config import SystemConfig
 from .stats import PrefetchReport, SimResult
 from .trace import TraceSource
@@ -277,15 +276,6 @@ class Engine:
             self.telemetry = TelemetryHarness(
                 self.bus, config.telemetry, num_cores=num_cores,
                 owner_names=names, gauges=self._telemetry_gauges())
-        # Execution strategy (never semantics): when enabled, run() and
-        # run_warmup() delegate to a bit-identical batched loop.  The
-        # span profiler needs the scalar path's per-span hooks, so that
-        # combination is rejected loudly rather than silently degraded.
-        self._fastpath_on = fastpath.resolve(config)
-        if self._fastpath_on and self._prof is not None:
-            fastpath.report_profiler_conflict()
-            self._fastpath_on = False
-        self._fastloop: Optional[object] = None
 
     def _telemetry_gauges(self) -> Dict[str, Callable[[], float]]:
         """Pull-based gauges the interval sampler reads at snapshot time."""
@@ -348,62 +338,72 @@ class Engine:
         self._heap = [(0.0, i) for i in range(self.num_cores)]
         heapq.heapify(self._heap)
 
-    def _step(self) -> bool:
-        """Process one trace record on the furthest-behind core.
+    def _drive(self, until_warm: bool, inband: bool = False) -> None:
+        """The stepping loop: one trace record at a time on the
+        furthest-behind core, until every stream is exhausted — or, with
+        ``until_warm``, until every core has crossed its warm-up boundary.
 
-        Returns False when every core's stream is exhausted.  Between
-        steps, each heap entry equals its core's current local clock,
-        which is what makes a mid-run snapshot restorable: the heap can
-        be rebuilt from the model clocks alone.
+        Between records each heap entry equals its core's current local
+        clock, which is what makes a snapshot taken there (the warm-up
+        boundary, a progress mark) restorable: the heap can be rebuilt
+        from the model clocks alone.  In the measured region a set mark
+        hook fires every ``_mark_every`` records, unless the marks ride
+        the record stream (``inband``).
         """
-        while self._heap:
-            _, i = heapq.heappop(self._heap)
+        heap = self._heap
+        iters, models, cores = self._iters, self.models, self.cores
+        counts, warmups = self._counts, self._warmups
+        warm_marks = self._warm_marks
+        num_cores = self.num_cores
+        every = 0 if until_warm else self._mark_every
+        hook = None if inband else self._on_mark
+        heappop, heappush = heapq.heappop, heapq.heappush
+        while heap:
+            if until_warm and self._warmed == num_cores:
+                return
+            _, i = heappop(heap)
             try:
-                pc, addr, is_write, gap, dep = next(self._iters[i])
+                pc, addr, is_write, gap, dep = next(iters[i])
             except StopIteration:
                 continue
-            model = self.models[i]
+            model = models[i]
             model.advance(gap)
             now = model.issue_time(dep)
-            latency = self.cores[i].access(pc, addr, is_write, now)
+            latency = cores[i].access(pc, addr, is_write, now)
             model.complete_access(now, latency, is_write)
-            self._counts[i] += 1
-            if self._counts[i] == self._warmups[i] and \
-                    self._warm_marks[i] is None:
-                model.drain()
-                self._warm_marks[i] = (model.clock, model.instrs)
-                self.cores[i].reset_stats()
-                self._warmed += 1
-                if self._warmed == self.num_cores:
-                    self.uncore.reset_stats()
-                    for pf in self.uncore.prefetchers.values():
-                        reset = getattr(pf, "reset_epoch_stats", None)
-                        if reset is not None:
-                            reset()
-                    if self.telemetry is not None:
-                        self.telemetry.reset()
-            heapq.heappush(self._heap, (model.clock, i))
-            return True
-        return False
+            counts[i] += 1
+            if counts[i] == warmups[i] and warm_marks[i] is None:
+                self._cross_warmup(i)
+            heappush(heap, (model.clock, i))
+            if every and self._warmed == num_cores:
+                # Counted for in-band marks too: measured_steps is part
+                # of the snapshot.
+                self._measured_steps += 1
+                if hook is not None and self._measured_steps % every == 0:
+                    hook(self)
+
+    def _cross_warmup(self, i: int) -> None:
+        """Core ``i`` just processed its last warm-up record: drain it,
+        remember where the measured region starts, and reset its stats
+        (and, once every core is warm, the shared ones)."""
+        model = self.models[i]
+        model.drain()
+        self._warm_marks[i] = (model.clock, model.instrs)
+        self.cores[i].reset_stats()
+        self._warmed += 1
+        if self._warmed == self.num_cores:
+            self.uncore.reset_stats()
+            for pf in self.uncore.prefetchers.values():
+                reset = getattr(pf, "reset_epoch_stats", None)
+                if reset is not None:
+                    reset()
+            if self.telemetry is not None:
+                self.telemetry.reset()
 
     @property
     def warmed(self) -> bool:
         """True once every core has crossed its warm-up boundary."""
         return self._started and self._warmed == self.num_cores
-
-    def _fastloop_for_run(self):
-        """The fast loop to delegate stepping to, or None (scalar path).
-
-        Built lazily on first use so every subscription (prefetcher
-        trainers, duelers, telemetry) is already wired when the loop
-        freezes its dispatch plans.  ``False`` caches an unsupported
-        engine shape so build() runs at most once.
-        """
-        if not self._fastpath_on or self._mark_every:
-            return None
-        if self._fastloop is None:
-            self._fastloop = fastpath.FastLoop.build(self) or False
-        return self._fastloop or None
 
     def run_warmup(self) -> "Engine":
         """Drive every core exactly to the warm-up boundary, then stop.
@@ -418,17 +418,11 @@ class Engine:
         self._start()
         if any(w == 0 for w in self._warmups):
             return self
-        fl = self._fastloop_for_run()
-        if fl is not None:
-            fl.run(stop_at_warm=True)
-            return self
         prof = self._prof
         if prof is not None:
             prof.start("warmup")
         try:
-            while self._warmed < self.num_cores:
-                if not self._step():
-                    break
+            self._drive(until_warm=True)
         finally:
             if prof is not None:
                 prof.stop()
@@ -448,26 +442,26 @@ class Engine:
 
         Single-core, trace-backed engines rebuild their record stream
         as a marked chunk pipeline: :class:`Mark` items at exactly the
-        absolute positions the scalar modulus would fire at ride the
+        absolute positions the modulus would fire at ride the
         stream and invoke the hook at pull time.  That is the same
         between-steps state point — counts/models are untouched while
         the pull is in flight and the heap is rebuilt from model clocks
         on restore — so snapshots taken by the hook are bit-identical
-        to the scalar path's.  Multicore and externally-streamed
-        engines keep the scalar modulus (the pipeline would have to
-        split per-core position accounting).
+        to the ones a modulus-fired hook takes.  Multicore and
+        externally-streamed engines keep the modulus (the pipeline would
+        have to split per-core position accounting).
         """
         if self._streams is not None or self.num_cores != 1:
             return False
         trace, warm = self.traces[0], self._warmups[0]
         if warm == 0:
-            # The scalar path never counts measured steps without a
-            # warm boundary, so there are no marks to place.
+            # Measured steps are never counted without a warm boundary,
+            # so there are no marks to place.
             return True
         hook = self._on_mark
         assert hook is not None
         start = self._counts[0]
-        # The scalar modulus counts the warm-boundary step itself as
+        # The modulus counts the warm-boundary step itself as
         # measured step 1 (its stats are reset after processing), so it
         # fires after the step that brings counts to warm-1+k*every.
         # The in-band mark at position p fires during the pull of
@@ -491,11 +485,6 @@ class Engine:
         if self._ran:
             raise RuntimeError("Engine.run() may only be called once")
         self._start()
-        fl = self._fastloop_for_run()
-        if fl is not None:
-            fl.run(stop_at_warm=False)
-            self._ran = True
-            return self
         inband = False
         if self._mark_every and self._on_mark is not None:
             inband = self._install_inband_marks()
@@ -503,17 +492,7 @@ class Engine:
         if prof is not None:
             prof.start("measure")
         try:
-            while self._step():
-                if self._mark_every and self._warmed == self.num_cores:
-                    # Counted on both paths: measured_steps is part of
-                    # the snapshot, so in-band runs must keep it
-                    # bit-identical even though their firing comes from
-                    # the stream.
-                    self._measured_steps += 1
-                    if not inband and \
-                            self._measured_steps % self._mark_every == 0 \
-                            and self._on_mark is not None:
-                        self._on_mark(self)
+            self._drive(until_warm=False, inband=inband)
         finally:
             if prof is not None:
                 prof.stop()

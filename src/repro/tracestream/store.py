@@ -87,10 +87,9 @@ class StreamingTrace:
 
     Satisfies the same protocol as the in-memory ``Trace`` — ``name``,
     ``len``, ``iter_from`` / ``__iter__``, ``chunk_at``,
-    ``columns_range``, ``instructions`` — but reads columns from
-    mmap'd chunk files, keeping resident memory constant in trace
-    length.  A two-entry chunk cache makes sequential replay and the
-    fast path's slab walk touch each file once.
+    ``instructions`` — but reads columns from mmap'd chunk files,
+    keeping resident memory constant in trace length.  A two-entry
+    chunk cache makes sequential replay touch each file once.
     """
 
     def __init__(self, directory: pathlib.Path, header: Dict[str, Any]):
@@ -146,14 +145,6 @@ class StreamingTrace:
         return TraceChunk(merged["pcs"], merged["addrs"],
                           merged["writes"], merged["gaps"],
                           merged["deps"])
-
-    def columns_range(self, start: int, stop: int):
-        """Fast-path columnar view (``blks`` computed per window)."""
-        from ..sim.trace import TraceColumns
-
-        c = self.chunk_at(start, stop)
-        return TraceColumns(c.pcs, c.addrs >> 6, c.writes, c.gaps,
-                            c.deps)
 
     def iter_chunks(self, start: int = 0) -> Iterator[TraceChunk]:
         return stages.chunks_of(self, start, self._chunk)

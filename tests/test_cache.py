@@ -1,5 +1,6 @@
 """Unit tests for the set-associative cache model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,3 +166,31 @@ def test_capacity_never_exceeded(blocks):
         valid = [l for l in c.lines[set_idx] if l.valid]
         assert len(valid) <= 2
         assert len({l.blk for l in valid}) == len(valid)  # no dup tags
+
+
+def test_cache_free_ways_stays_exact():
+    """``Cache.free_ways`` (the O(1) "any invalid way?" fill decision)
+    must track the invalid-way count through fills, invalidations, and
+    partition resizes."""
+    cache = Cache("L", 64 * 4 * 8, 4, 1)
+
+    def recount():
+        return [sum(1 for line in row[:nd] if not line.valid)
+                for row, nd in zip(cache.lines, cache._data_ways)]
+
+    rng = np.random.default_rng(7)
+    for blk in rng.integers(0, 256, size=400).tolist():
+        cache.fill(int(blk), 0.0)
+        assert cache.free_ways == recount()
+    for blk in rng.integers(0, 256, size=64).tolist():
+        cache.invalidate(int(blk))
+        assert cache.free_ways == recount()
+    for s in range(cache.num_sets):
+        cache.set_data_ways(s, 2)
+        assert cache.free_ways == recount()
+        cache.set_data_ways(s, 4)
+        assert cache.free_ways == recount()
+    state = cache.state_dict()
+    fresh = Cache("L", 64 * 4 * 8, 4, 1)
+    fresh.load_state(state)
+    assert fresh.free_ways == cache.free_ways

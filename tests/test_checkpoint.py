@@ -178,7 +178,7 @@ def test_cache_policy_roundtrip(name):
             policy.on_fill(set_idx, i % ways, blk=i * 7, pc=i % 13)
             if i % 3 == 0:
                 policy.on_hit(set_idx, (i // 3) % ways)
-            victims.append(policy.victim(set_idx, range(ways)))
+            victims.append(policy.victim(set_idx, ways))
         return victims
 
     a = make_policy(name, sets, ways)
@@ -413,6 +413,15 @@ def test_ckpt_disabled_skips_store(tmp_path, monkeypatch):
                         resume=True)
     job.execute()
     assert CheckpointStore(tmp_path).entries() == []
+
+
+def test_ckpt_flag_is_validated(monkeypatch):
+    from repro.checkpoint import checkpoint_enabled
+    monkeypatch.setenv("REPRO_CKPT", "")
+    assert checkpoint_enabled()  # empty means the default, on
+    monkeypatch.setenv("REPRO_CKPT", "yes")
+    with pytest.raises(ValueError, match="REPRO_CKPT"):
+        checkpoint_enabled()
 
 
 def test_runner_prewarm_shares_warmup(tmp_path, monkeypatch):

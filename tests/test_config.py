@@ -27,6 +27,14 @@ class TestDefaults:
         text = DEFAULT_CONFIG.table()
         assert "ROB" in text and "LLC" in text and "DRAM" in text
 
+    def test_table_prints_sub_megabyte_llc_in_kb(self):
+        # The experiments' 1/4-scale LLC is 512KB, not "0MB".
+        llc = SystemConfig().scaled_down(4).table().splitlines()[3]
+        assert "LLC" in llc and "512KB (512KB/core)" in llc
+        four = SystemConfig(num_cores=4).scaled_down(4).table()
+        assert "2MB (512KB/core)" in four
+        assert "2MB (2MB/core)" in DEFAULT_CONFIG.table()
+
 
 class TestScaling:
     def test_scaled_down_divides_caches_only(self):

@@ -1,10 +1,10 @@
-"""Stats-conservation checks over the request pipeline and event bus.
+"""Stats-conservation checks over the demand path and event bus.
 
 Every demand access that misses a level must show up exactly once at
 the level below, and the event-bus counters must agree with the
 per-cache ``CacheStats`` counters maintained independently inside
-``Cache``.  Any double-count or dropped-count bug in the generic
-``CacheLevel`` chain breaks one of these identities.
+``Cache``.  Any double-count or dropped-count bug in the hierarchy's
+demand or prefetch path breaks one of these identities.
 """
 
 from repro.core.streamline import StreamlinePrefetcher

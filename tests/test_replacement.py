@@ -13,13 +13,16 @@ class TestLRU:
         for w in range(4):
             p.on_fill(0, w)
         p.on_hit(0, 0)  # way 0 becomes MRU; way 1 is now LRU
-        assert p.victim(0, range(4)) == 1
+        assert p.victim(0, 4) == 1
 
     def test_victim_restricted_to_candidates(self):
+        # Only the first ``nd`` ways (the data partition) are candidates:
+        # way 2 is least recent overall, way 0 among the first two.
         p = LRUPolicy(1, 4)
-        for w in range(4):
+        for w in (2, 0, 1, 3):
             p.on_fill(0, w)
-        assert p.victim(0, [2, 3]) == 2
+        assert p.victim(0, 4) == 2
+        assert p.victim(0, 2) == 0
 
     def test_stack_distance(self):
         p = LRUPolicy(1, 4)
@@ -33,8 +36,8 @@ class TestLRU:
         p.on_fill(0, 0)
         p.on_fill(1, 1)
         p.on_fill(0, 1)
-        assert p.victim(0, range(2)) == 0
-        assert p.victim(1, range(2)) == 0  # way 0 of set 1 never touched
+        assert p.victim(0, 2) == 0
+        assert p.victim(1, 2) == 0  # way 0 of set 1 never touched
 
 
 class TestSRRIP:
@@ -44,7 +47,7 @@ class TestSRRIP:
         p.on_fill(0, 1)
         p.on_hit(0, 0)
         # way 0 has RRPV 0, way 1 has 2: aging finds way 1 first.
-        assert p.victim(0, range(2)) == 1
+        assert p.victim(0, 2) == 1
 
     def test_victim_ages_until_found(self):
         p = SRRIPPolicy(1, 2)
@@ -52,27 +55,27 @@ class TestSRRIP:
         p.on_hit(0, 0)
         p.on_fill(0, 1)
         p.on_hit(0, 1)
-        w = p.victim(0, range(2))
+        w = p.victim(0, 2)
         assert w in (0, 1)  # aging terminates
 
     def test_untouched_ways_evicted_first(self):
         p = SRRIPPolicy(1, 4)
         p.on_fill(0, 0)
         # Ways 1-3 never filled: they sit at MAX_RRPV.
-        assert p.victim(0, range(4)) in (1, 2, 3)
+        assert p.victim(0, 4) in (1, 2, 3)
 
 
 class TestRandom:
     def test_deterministic_sequence(self):
         a = RandomPolicy(1, 8, seed=42)
         b = RandomPolicy(1, 8, seed=42)
-        seq_a = [a.victim(0, range(8)) for _ in range(20)]
-        seq_b = [b.victim(0, range(8)) for _ in range(20)]
+        seq_a = [a.victim(0, 8) for _ in range(20)]
+        seq_b = [b.victim(0, 8) for _ in range(20)]
         assert seq_a == seq_b
 
     def test_victims_spread(self):
         p = RandomPolicy(1, 8)
-        assert len({p.victim(0, range(8)) for _ in range(100)}) > 3
+        assert len({p.victim(0, 8) for _ in range(100)}) > 3
 
 
 class TestHawkeyeLite:
@@ -93,7 +96,7 @@ class TestHawkeyeLite:
         p = HawkeyeLitePolicy(4, 4)
         for w in range(4):
             p.on_fill(0, w, blk=w, pc=1)
-        assert p.victim(0, range(4)) in range(4)
+        assert p.victim(0, 4) in range(4)
 
 
 def test_make_policy_known():

@@ -1,13 +1,11 @@
-"""Tests for the MemoryRequest pipeline, event bus, and train scopes."""
+"""Tests for the demand path, event bus, and train scopes."""
 
 import pytest
 
-from repro.memory.address import block_of
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.memory.events import EV, EventBus
 from repro.memory.hierarchy import CoreHierarchy, SharedUncore
-from repro.memory.request import DEMAND, MemoryRequest
 from repro.prefetchers.base import (Prefetcher, TRAIN_SCOPE_ALL_L2,
                                     TRAIN_SCOPE_TEMPORAL)
 from repro.sim.multicore import REGION_BITS, REGION_MASK, _biased
@@ -66,27 +64,38 @@ class TestEventBus:
         assert seen[-1] == ("second", 8)
 
 
+def record_lookups(bus):
+    """Subscribe a recorder of ``(level, hit)`` per lookup event."""
+    seen = []
+    for kind in (EV.LOOKUP_HIT, EV.LOOKUP_MISS):
+        bus.subscribe(kind, lambda ev: seen.append((ev.level, ev.hit)))
+    return seen
+
+
 class TestRequestPipeline:
     def test_cold_miss_records_every_level(self):
-        core, _ = build()
-        req = MemoryRequest(0x1, 0x1000, block_of(0x1000), False, DEMAND,
-                            0, 0.0)
-        core.l1_level.access(req)
-        assert [(o.level, o.hit) for o in req.outcomes] == \
-            [("l1d", False), ("l2", False), ("llc", False)]
-        assert req.latency == pytest.approx(
-            sum(o.latency for o in req.outcomes))
-        assert req.latency > 100  # went to DRAM
-        assert req.clock == req.now + req.latency
+        core, uncore = build()
+        seen = record_lookups(uncore.bus)
+        fills = []
+        uncore.bus.subscribe(EV.FILL, lambda ev: fills.append(
+            (ev.level, ev.now)))
+        latency = core.access(0x1, 0x1000, False, 0.0)
+        assert seen == [("l1d", False), ("l2", False), ("llc", False)]
+        dram = uncore.dram
+        assert latency == pytest.approx(
+            core.l1d.latency + core.l2.latency + uncore.llc.latency
+            + dram.base_latency + dram.service_cycles)
+        assert latency > 100  # went to DRAM
+        # Data lands everywhere when the access completes.
+        assert [lv for lv, _ in fills] == ["llc", "l2", "l1d"]
+        assert all(now == latency for _, now in fills)
 
     def test_l1_hit_stops_at_first_level(self):
-        core, _ = build()
+        core, uncore = build()
         core.access(0x1, 0x1000, False, 0.0)
-        req = MemoryRequest(0x1, 0x1000, block_of(0x1000), False, DEMAND,
-                            0, 1000.0)
-        core.l1_level.access(req)
-        assert [(o.level, o.hit) for o in req.outcomes] == [("l1d", True)]
-        assert req.latency == core.l1d.latency
+        seen = record_lookups(uncore.bus)
+        assert core.access(0x1, 0x1000, False, 1000.0) == core.l1d.latency
+        assert seen == [("l1d", True)]
 
     def test_cold_miss_event_order(self):
         core, uncore = build()

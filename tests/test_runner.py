@@ -338,3 +338,12 @@ class TestCacheCli:
         assert fingerprints[0] in capsys.readouterr().out
         left = ResultCache(tmp_path, persistent=True).entries()
         assert left == [fingerprints[1]]
+
+
+def test_cache_flag_is_validated(monkeypatch):
+    from repro.runner import cache_enabled
+    monkeypatch.setenv("REPRO_CACHE", "")
+    assert cache_enabled()  # empty means the default, on
+    monkeypatch.setenv("REPRO_CACHE", "yes")
+    with pytest.raises(ValueError, match="REPRO_CACHE"):
+        cache_enabled()

@@ -1,7 +1,7 @@
 """Representative sampling: clustering determinism, plan persistence,
 windowed execution, warm-up sharing, error bounds, and knob hygiene.
 
-The non-negotiable invariant mirrors the fastpath/serve subsystems:
+The non-negotiable invariant mirrors the streaming/serve subsystems:
 with ``REPRO_SAMPLING`` off (the default everywhere but fig9s), nothing
 in this package may change what any experiment computes — full jobs are
 untouched by the knob, and sampled (windowed) jobs key their own cache

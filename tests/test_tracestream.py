@@ -5,7 +5,7 @@ trace acquisition and replay through chunk streams — vectorized
 generators, transform stages, in-band marks, the mmap-backed
 :class:`~repro.tracestream.store.TraceStore` — is a pure execution
 strategy.  Every consumer sees record-for-record the same stream, and
-simulated results are **bit-identical** to the in-memory scalar path.
+simulated results are **bit-identical** to the in-memory path.
 These tests assert that for the stage algebra, the store round-trip
 (including corruption and races degrading to misses), the engine across
 workload archetypes × prefetchers, telemetry series, the in-band
@@ -223,18 +223,17 @@ class TestTraceStore:
         again = store.get("gap.pr", 5000, 7)
         assert again is not None and list(again) == list(direct)
 
-    def test_columns_range_across_chunk_boundaries(self, store):
+    def test_chunk_at_across_chunk_boundaries(self, store):
         replay = self.put(store)
         direct = make("gap.pr", 5000, 7)
         for lo, hi in [(0, 10), (self.CHUNK - 3, self.CHUNK + 3),
                        (2 * self.CHUNK, 2 * self.CHUNK),
                        (4990, 5000)]:
-            got, want = replay.columns_range(lo, hi), \
-                direct.columns_range(lo, hi)
+            got, want = replay.chunk_at(lo, hi), direct.chunk_at(lo, hi)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), (lo, hi)
         with pytest.raises(IndexError):
-            replay.columns_range(4990, 5001)
+            replay.chunk_at(4990, 5001)
 
     def test_iter_from_matches_trace(self, store):
         replay = self.put(store)
@@ -461,7 +460,7 @@ class TestRunnerKnobs:
         runner_traces.clear()
         assert dataclasses.asdict(streamed) == dataclasses.asdict(plain)
         # The strategy knob is excluded from fingerprints (pure
-        # execution detail, like config.fastpath).
+        # execution detail, like SimJob.resume).
         job = SimJob.single("gap.pr", 5000, parity_config(),
                             l2=["triangel"])
         assert "TRACE_STREAM" not in json.dumps(job.canonical())
