@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..memory.address import block_of
-from ..sim.trace import Trace
+from ..sim.trace import TraceSource
 
 INFINITY = 1 << 60
 
@@ -49,7 +49,7 @@ class OracleResult:
         return self.correlation_hits / self.lookups if self.lookups else 0.0
 
 
-def _correlation_events(trace: Trace) -> List[Tuple[int, int]]:
+def _correlation_events(trace: TraceSource) -> List[Tuple[int, int]]:
     """Per-PC (trigger, target) pairs in program order."""
     last: Dict[int, int] = {}
     events: List[Tuple[int, int]] = []
@@ -84,7 +84,7 @@ def _next_use_index(events: Sequence[Tuple[int, int]], mode: str
     return nxt
 
 
-def replay(trace: Trace, capacity: int, policy: str = "tp-min"
+def replay(trace: TraceSource, capacity: int, policy: str = "tp-min"
            ) -> OracleResult:
     """Replay correlation events through an offline-optimal store.
 
@@ -137,6 +137,6 @@ def replay(trace: Trace, capacity: int, policy: str = "tp-min"
                         correlation_hits)
 
 
-def compare(trace: Trace, capacity: int) -> Dict[str, OracleResult]:
+def compare(trace: TraceSource, capacity: int) -> Dict[str, OracleResult]:
     """Replay with both oracles; the paper's Section V-D3 comparison."""
     return {p: replay(trace, capacity, p) for p in ("min", "tp-min")}

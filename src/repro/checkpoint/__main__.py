@@ -1,13 +1,13 @@
-"""Checkpoint-store maintenance CLI.
+"""Checkpoint CLI.
 
 ``python -m repro.checkpoint <command>``:
 
-* ``list``    — stored keys with size, age order, and phase metadata.
 * ``inspect`` — one entry's metadata and state-tree summary.
-* ``verify``  — checksum-verify one entry (or all of them).
-* ``gc``      — drop all but the N most recent entries.
 * ``smoke``   — run a small save→restore→continue simulation and assert
   bit-identity against a straight run (the CI safety net).
+
+``python -m repro.store checkpoints list|verify|gc`` maintains the
+store.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import json
 import sys
 from typing import Any
 
-from .serialize import CheckpointCorrupt
-from .store import CheckpointStore, default_ckpt_dir
+from .store import CheckpointStore
 
 
 def _tree_summary(state: Any, depth: int = 0) -> str:
@@ -28,24 +27,6 @@ def _tree_summary(state: Any, depth: int = 0) -> str:
     if isinstance(state, list):
         return f"list[{len(state)}]"
     return type(state).__name__
-
-
-def cmd_list(store: CheckpointStore, args) -> int:
-    keys = store.entries()
-    if not keys:
-        print(f"no checkpoints under {store.directory}")
-        return 0
-    print(f"{len(keys)} checkpoint(s) under {store.directory}")
-    for key in keys:
-        path = store.path(key)
-        size_kb = path.stat().st_size / 1024.0
-        phase = "?"
-        try:
-            phase = store.verify(key).get("phase", "?")
-        except (CheckpointCorrupt, FileNotFoundError):
-            phase = "CORRUPT"
-        print(f"  {key}  {size_kb:8.1f} KiB  [{phase}]")
-    return 0
 
 
 def cmd_inspect(store: CheckpointStore, args) -> int:
@@ -60,33 +41,6 @@ def cmd_inspect(store: CheckpointStore, args) -> int:
             print(f"  state[{key!r}]: {_tree_summary(state[key])}")
     else:
         print(f"  state: {_tree_summary(state)}")
-    return 0
-
-
-def cmd_verify(store: CheckpointStore, args) -> int:
-    keys = [args.key] if args.key else store.entries()
-    if not keys:
-        print(f"no checkpoints under {store.directory}")
-        return 0
-    bad = 0
-    for key in keys:
-        try:
-            meta = store.verify(key)
-            print(f"  ok      {key}  [{meta.get('phase', '?')}]")
-        except FileNotFoundError:
-            print(f"  missing {key}", file=sys.stderr)
-            bad += 1
-        except CheckpointCorrupt as exc:
-            print(f"  CORRUPT {key}: {exc}", file=sys.stderr)
-            bad += 1
-    return 1 if bad else 0
-
-
-def cmd_gc(store: CheckpointStore, args) -> int:
-    dropped = store.gc(keep=args.keep)
-    print(f"dropped {len(dropped)} checkpoint(s), kept {args.keep}")
-    for key in dropped:
-        print(f"  {key}")
     return 0
 
 
@@ -140,25 +94,15 @@ def cmd_smoke(store: CheckpointStore, args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.checkpoint",
-        description="Inspect and maintain the simulation checkpoint store.")
+        description="Inspect checkpoints and smoke-test resume.")
     parser.add_argument(
         "--dir", default=None,
-        help=f"store directory (default: {default_ckpt_dir()})")
+        help="store directory (default: REPRO_CKPT_DIR or "
+             "benchmarks/.ckpt)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list stored checkpoints")
 
     p_inspect = sub.add_parser("inspect", help="show one entry's metadata")
     p_inspect.add_argument("key")
-
-    p_verify = sub.add_parser("verify", help="checksum-verify entries")
-    p_verify.add_argument("key", nargs="?", default=None,
-                          help="one key (default: every entry)")
-
-    p_gc = sub.add_parser("gc", help="drop old entries")
-    p_gc.add_argument("--keep", type=int, default=0,
-                      help="most-recent entries to keep (default 0 = all"
-                           " dropped)")
 
     p_smoke = sub.add_parser(
         "smoke", help="assert save→restore→continue bit-identity")
@@ -169,8 +113,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     store = CheckpointStore(args.dir)
-    handlers = {"list": cmd_list, "inspect": cmd_inspect,
-                "verify": cmd_verify, "gc": cmd_gc, "smoke": cmd_smoke}
+    handlers = {"inspect": cmd_inspect, "smoke": cmd_smoke}
     return handlers[args.command](store, args)
 
 

@@ -5,32 +5,30 @@ A state tree is a nested structure of ``dict`` (string keys), ``list`` /
 ``numpy.ndarray`` leaves — exactly what :meth:`Snapshottable.state_dict`
 produces.  The tree is split into a JSON *manifest* (structure and
 scalars, with each array replaced by an ``{"__nd__": i}`` placeholder)
-plus the arrays themselves, and the whole bundle is written as one
+plus the arrays themselves, and the whole bundle is encoded as one
 compressed ``.npz`` archive:
 
 * ``__format__``  — :data:`FORMAT_VERSION` (reject anything else),
 * ``__manifest__`` / ``__meta__`` — JSON as 0-d unicode arrays,
-* ``__digest__``  — SHA-256 over manifest bytes + every array's
-  dtype/shape/contents, verified on load,
 * ``a0`` .. ``aN`` — the array leaves, in manifest placeholder order.
+
+Integrity is the store's job: :class:`repro.checkpoint.CheckpointStore`
+keeps each archive in a digest-checked :mod:`repro.store` entry.
 
 Nothing here round-trips arbitrary objects: components encode their own
 state into this vocabulary (tuples come back as lists; non-string dict
 keys are encoded as list-of-pairs by the component).  ``allow_pickle``
-is never enabled, so a checkpoint file can't execute code on load.
+is never enabled, so a checkpoint can't execute code on load.
 
-Any unreadable, truncated, mis-versioned or checksum-failing file
-surfaces as :class:`CheckpointCorrupt`; callers fall back to
-re-simulation rather than crashing a sweep.
+Any unreadable, mis-versioned or malformed archive surfaces as
+:class:`CheckpointCorrupt`; the store evicts it and callers fall back
+to re-simulation rather than crashing a sweep.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
-import os
-import tempfile
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
@@ -83,64 +81,36 @@ def _decode(node: Any, arrays: List[np.ndarray]) -> Any:
     return node
 
 
-def _digest(manifest: bytes, arrays: List[np.ndarray]) -> str:
-    """Content hash over the manifest and every array's exact bytes."""
-    h = hashlib.sha256()
-    h.update(manifest)
-    for arr in arrays:
-        h.update(str(arr.dtype).encode())
-        h.update(repr(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
-
-
-def dump(path: str, state: Any, meta: Dict[str, Any]) -> None:
-    """Atomically write ``state`` (+ JSON-able ``meta``) to ``path``.
-
-    Write-then-rename: a killed run never leaves a torn archive behind.
-    """
+def dumps(state: Any, meta: Dict[str, Any]) -> bytes:
+    """``state`` (+ JSON-able ``meta``) as one compressed archive."""
     arrays: List[np.ndarray] = []
     manifest = json.dumps(_encode(state, arrays), sort_keys=True)
-    meta_json = json.dumps(meta, sort_keys=True)
     payload = {
         "__format__": np.array(FORMAT_VERSION, dtype=np.int64),
         "__manifest__": np.array(manifest),
-        "__meta__": np.array(meta_json),
-        "__digest__": np.array(_digest(manifest.encode(), arrays)),
+        "__meta__": np.array(json.dumps(meta, sort_keys=True)),
     }
     for i, arr in enumerate(arrays):
         payload[f"a{i}"] = arr
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **payload)
+    return buf.getvalue()
 
 
-def load(path: str) -> Tuple[Dict[str, Any], Any]:
-    """Read ``path`` back as ``(meta, state)``, verifying the digest.
+def loads(blob: bytes) -> Tuple[Dict[str, Any], Any]:
+    """Decode an archive back into ``(meta, state)``.
 
     Raises :class:`CheckpointCorrupt` on any defect — missing keys,
-    undecodable JSON, version or checksum mismatch, truncated zip.
+    undecodable JSON, version mismatch, a truncated zip.
     """
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with np.load(io.BytesIO(blob), allow_pickle=False) as archive:
             version = int(archive["__format__"][()])
             if version != FORMAT_VERSION:
                 raise CheckpointCorrupt(
-                    f"{path}: format version {version}, "
-                    f"expected {FORMAT_VERSION}")
+                    f"format version {version}, expected {FORMAT_VERSION}")
             manifest = str(archive["__manifest__"][()])
             meta_json = str(archive["__meta__"][()])
-            stored_digest = str(archive["__digest__"][()])
             names = sorted(
                 (n for n in archive.files if n.startswith("a")),
                 key=lambda n: int(n[1:]))
@@ -148,27 +118,18 @@ def load(path: str) -> Tuple[Dict[str, Any], Any]:
     except CheckpointCorrupt:
         raise
     except Exception as exc:  # zipfile/numpy raise many things on garbage
-        raise CheckpointCorrupt(f"{path}: unreadable ({exc})") from exc
-    if _digest(manifest.encode(), arrays) != stored_digest:
-        raise CheckpointCorrupt(f"{path}: checksum mismatch")
+        raise CheckpointCorrupt(f"unreadable archive ({exc})") from exc
     try:
         meta = json.loads(meta_json)
         state = _decode(json.loads(manifest), arrays)
     except (ValueError, IndexError) as exc:
-        raise CheckpointCorrupt(f"{path}: bad manifest ({exc})") from exc
+        raise CheckpointCorrupt(f"bad manifest ({exc})") from exc
     return meta, state
 
 
 def dumps_size(state: Any) -> int:
     """Serialized size of ``state`` in bytes (for overhead reporting)."""
-    arrays: List[np.ndarray] = []
-    manifest = json.dumps(_encode(state, arrays), sort_keys=True)
-    buf = io.BytesIO()
-    payload = {"__manifest__": np.array(manifest)}
-    for i, arr in enumerate(arrays):
-        payload[f"a{i}"] = arr
-    np.savez_compressed(buf, **payload)
-    return buf.tell()
+    return len(dumps(state, {}))
 
 
 def state_equal(a: Any, b: Any) -> bool:

@@ -3,10 +3,9 @@
 Every ``REPRO_*`` knob is parsed through these helpers so a malformed
 value fails immediately with an error naming the variable and the
 accepted forms — never as a bare ``int()`` traceback deep inside a
-sweep, and never by silently treating junk as "on".  (The pattern
-started with ``REPRO_JOBS``/``REPRO_TRACE_CACHE`` in ``repro.runner``
-and ``REPRO_TELEMETRY_INTERVAL`` in ``repro.telemetry``; this module is
-the shared home for it.)
+sweep, and never by silently treating junk as "on".  This is the only
+module under ``repro`` that reads ``os.environ``
+(``tests/test_envknobs.py`` enforces it).
 """
 
 from __future__ import annotations
@@ -44,9 +43,8 @@ def env_tristate(name: str):
 
     Unset, empty, and ``auto`` all mean "defer"; ``0``/``1`` force the
     knob off/on; anything else raises ``ValueError`` naming the
-    variable.  This is the ``REPRO_PROGRESS`` convention (see
-    :mod:`repro.obs.progress`), shared by ``REPRO_TRACE_STREAM`` and
-    ``REPRO_SAMPLING``.
+    variable.  ``REPRO_PROGRESS``, ``REPRO_SAMPLING``, ``REPRO_TRACE``
+    and ``REPRO_METRICS`` use it.
     """
     raw = os.environ.get(name, "")
     if raw in ("", "auto"):

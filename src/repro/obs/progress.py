@@ -15,26 +15,21 @@ painting the terminal.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from typing import IO, Optional
 
+from ..envknobs import env_tristate
+
 
 def wanted(stream: Optional[IO[str]] = None) -> bool:
     """Should a progress line render on ``stream`` (default stderr)?"""
-    raw = os.environ.get("REPRO_PROGRESS", "")
-    if raw in ("", "auto"):
-        stream = stream if stream is not None else sys.stderr
-        isatty = getattr(stream, "isatty", None)
-        return bool(isatty and isatty())
-    if raw == "0":
-        return False
-    if raw == "1":
-        return True
-    raise ValueError(
-        f"REPRO_PROGRESS must be unset, '', 'auto', '0', or '1', "
-        f"got {raw!r}")
+    forced = env_tristate("REPRO_PROGRESS")
+    if forced is not None:
+        return forced
+    stream = stream if stream is not None else sys.stderr
+    isatty = getattr(stream, "isatty", None)
+    return bool(isatty and isatty())
 
 
 def format_eta(seconds: float) -> str:

@@ -35,6 +35,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
 from ..envknobs import env_flag
+from ..store import store_dir
 from . import trace as obs_trace
 
 #: Version of the runlog record layout (bump when fields change shape).
@@ -51,14 +52,7 @@ def enabled() -> bool:
 
 def obs_dir() -> pathlib.Path:
     """Root directory for run logs (``REPRO_OBS_DIR`` overrides)."""
-    override = os.environ.get("REPRO_OBS_DIR")
-    if override:
-        return pathlib.Path(override)
-    # Editable/source checkouts keep logs next to the bench results.
-    repo_root = pathlib.Path(__file__).resolve().parents[3]
-    if (repo_root / "benchmarks").is_dir():
-        return repo_root / "benchmarks" / ".obs"
-    return pathlib.Path.home() / ".cache" / "repro-obs"
+    return store_dir("obs", "REPRO_OBS_DIR")
 
 
 class RunLogWriter:

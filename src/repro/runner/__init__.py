@@ -14,8 +14,7 @@ Knobs: ``REPRO_JOBS`` (worker count; ``1`` = in-process serial),
 "Execution model" and "Checkpoint & resume".
 """
 
-from .cache import CacheCorrupt, CacheStats, ResultCache, \
-    cache_enabled, default_cache_dir
+from .cache import CacheStats, ResultCache, cache_enabled
 from .jobs import JobResult, SimJob, execute_job, prewarm_job
 from .probes import ProbeContext, register_probe, run_probes
 from .runner import SimRunner, env_jobs, get_runner, reset_runner
@@ -23,8 +22,8 @@ from .specs import VARIANT_PREFIX, PrefetcherSpec, as_spec, register, \
     spec
 from .traces import get_trace
 
-__all__ = ["CacheCorrupt", "CacheStats", "ResultCache", "cache_enabled",
-           "default_cache_dir", "JobResult", "SimJob", "execute_job",
+__all__ = ["CacheStats", "ResultCache", "cache_enabled",
+           "JobResult", "SimJob", "execute_job",
            "prewarm_job", "ProbeContext", "register_probe", "run_probes",
            "SimRunner", "env_jobs",
            "get_runner", "reset_runner", "PrefetcherSpec", "as_spec",

@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, ContextManager, Dict, Optional, Sequence, Tuple, \
@@ -319,8 +318,7 @@ class SimJob:
                 probes=result.probes)
         if log is not None:
             # On-disk trace store effectiveness, as this job's delta of
-            # the per-process counters (all-zero unless
-            # REPRO_TRACE_STREAM routes acquisition through the store).
+            # the per-process counters.
             store1 = trace_store_stats()
             wall = time.perf_counter() - t0
             store_delta = {k: store1[k] - store0[k] for k in store1}
@@ -387,10 +385,8 @@ class SimJob:
                         restored = True
                     except (ValueError, RuntimeError, KeyError,
                             TypeError) as exc:
-                        warnings.warn(
-                            f"discarding unusable warm-up checkpoint "
-                            f"{warm_key}: {exc}", stacklevel=2)
-                        store.remove(warm_key)
+                        store.evict(warm_key,
+                                    f"load_state failed: {exc!r}")
                         with span("build"):
                             engine = self._build_engine()
                 if not restored:
@@ -406,10 +402,8 @@ class SimJob:
                     restored = True
                 except (ValueError, RuntimeError, KeyError,
                         TypeError) as exc:
-                    warnings.warn(
-                        f"discarding unusable progress checkpoint: "
-                        f"{exc}", stacklevel=2)
-                    store.remove(progress_key)
+                    store.evict(progress_key,
+                                f"load_state failed: {exc!r}")
                     with span("build"):
                         engine = self._build_engine()
                     engine.run_warmup()

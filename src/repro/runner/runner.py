@@ -17,7 +17,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Dict, List, Optional, Sequence
 
+from .. import store as repro_store
 from ..checkpoint import checkpoint_enabled, get_store
+from ..envknobs import env_int
 from ..obs import profile as obs_profile
 from ..obs import runlog as obs_runlog
 from ..obs import trace as obs_trace
@@ -27,22 +29,9 @@ from .jobs import JobResult, SimJob, execute_job, prewarm_job
 
 
 def env_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (default: all cores).
-
-    A malformed value raises immediately with the env var named, rather
-    than surfacing as a bare ``int()`` traceback deep in runner setup.
-    """
-    raw = os.environ.get("REPRO_JOBS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_JOBS must be an integer, got {raw!r}") from None
-    if jobs <= 0:
-        raise ValueError(f"REPRO_JOBS must be >= 1, got {jobs}")
-    return jobs
+    """Worker count from ``REPRO_JOBS`` (default: all cores; junk and
+    values below 1 raise naming the variable)."""
+    return env_int("REPRO_JOBS", os.cpu_count() or 1)
 
 
 class SimRunner:
@@ -161,6 +150,7 @@ class SimRunner:
             writer = log.parent_writer()
         ckpt_hits = self._prewarm(jobs, writer)
         workers = min(self.workers, len(jobs))
+        evicted = repro_store.drain_evictions()
         if writer is not None:
             writer.emit("run_start", run_id=log.run_id,
                         schema=obs_runlog.RUNLOG_SCHEMA_VERSION,
@@ -168,10 +158,11 @@ class SimRunner:
                         memo_hits=memo_hits, disk_hits=disk_hits,
                         evictions=evictions, workers=workers,
                         profiled=obs_profile.enabled())
-            # Corrupt entries the batch's cache lookups evicted: one
+            # Corrupt entries any store evicted while no run-log writer
+            # was installed (this batch's cache lookups among them): one
             # record each, so reports can name what was lost and why.
-            for evicted in self.cache.drain_evictions():
-                writer.emit("cache_evict", **evicted)
+            for record in evicted:
+                writer.emit("cache_evict", **record)
         line = ProgressLine(total, done=memo_hits + disk_hits)
         line.update(memo_hits=memo_hits, disk_hits=disk_hits,
                     ckpt_hits=ckpt_hits)

@@ -11,10 +11,10 @@ cheap by simulating only *representative* intervals:
 2. :mod:`.cluster` runs a seeded, dependency-free k-means over the
    z-scored vectors and picks one representative interval per cluster,
    weighted by cluster population.
-3. :mod:`.plan` persists the result as a checksummed
-   :class:`~repro.sampling.plan.SamplingPlan` artifact under
-   ``benchmarks/.splans`` (corruption evicts to a miss, like every
-   other store in this repo).
+3. :mod:`.plan` persists the result as a
+   :class:`~repro.sampling.plan.SamplingPlan` artifact in a
+   :mod:`repro.store` entry under ``benchmarks/.splans`` (corruption
+   evicts to a miss, like every other store in this repo).
 4. :mod:`.execute` turns a plan into windowed
    :class:`~repro.runner.SimJob` batches (bounded warm-up immediately
    before each interval, restored from the checkpoint store when
@@ -27,9 +27,9 @@ observed error is inside its declared bound.
 
 Knobs (validated; errors name the variable):
 
-* ``REPRO_SAMPLING`` — tri-state like ``REPRO_TRACE_STREAM``: unset/
-  ``auto`` defers to the caller's default (off everywhere except the
-  sampled ``fig9s`` experiment), ``0``/``1`` force it.  Never enters
+* ``REPRO_SAMPLING`` — tri-state: unset/``auto`` defers to the
+  caller's default (off everywhere except the sampled ``fig9s``
+  experiment), ``0``/``1`` force it.  Never enters
   job fingerprints: windowed jobs key their *own* cache entries via
   ``SimJob.window``, so a sampled estimate can never impersonate a
   full run's cached result.
@@ -45,7 +45,7 @@ from .execute import (METRIC_FLOORS, METRICS, SampledEstimate, combine,
                       run_sampled, sampled_jobs, validate_sampling)
 from .features import (FEATURE_NAMES, FEATURE_SCHEMA_VERSION,
                        FeatureMatrix, extract_features)
-from .knobs import sampling_dir, sampling_enabled, sampling_k
+from .knobs import sampling_enabled, sampling_k
 from .plan import (DEFAULT_ERROR_BOUNDS, PlanStore, Representative,
                    SamplingPlan, build_plan, default_interval, default_k,
                    get_plan)
@@ -59,5 +59,5 @@ __all__ = [
     "get_plan",
     "METRICS", "METRIC_FLOORS", "SampledEstimate", "combine",
     "run_sampled", "sampled_jobs", "validate_sampling",
-    "sampling_enabled", "sampling_dir", "sampling_k",
+    "sampling_enabled", "sampling_k",
 ]

@@ -8,29 +8,26 @@ feature-schema version)``, which is exactly the store key, so a plan
 built on one machine is byte-identical to the same plan built on
 another.
 
-Storage follows the repo's store conventions (result cache, checkpoint
-store, trace store): one file per key under ``benchmarks/.splans``
-(``REPRO_SAMPLING_DIR`` overrides), atomic writes, and a content digest
-checked on every load — a corrupt or tampered plan evicts to a miss
-with a warning, never a half-read artifact.
+Plans are :mod:`repro.store` entries under ``benchmarks/.splans``
+(``REPRO_SAMPLING_DIR`` overrides): atomic writes and a digest checked
+on every load, so a corrupt or tampered plan — or one whose key
+disagrees with the entry it sits in — is evicted to a miss (counted,
+warned about and logged), never a half-read artifact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
-import tempfile
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..obs import runlog as obs_runlog
+from ..store import BlobStore, store_dir
 from ..workloads import DEFAULT_SEED
 from .cluster import pick_representatives
 from .features import FEATURE_SCHEMA_VERSION, extract_features
-from .knobs import sampling_dir
 
 #: Declared relative error bounds per extrapolated metric, inherited by
 #: every plan unless overridden.  ``validate`` asserts observed error
@@ -135,64 +132,28 @@ def plan_key(workload: str, n: int, seed: int, interval: int, k: int,
             f"-f{feature_schema}")
 
 
-class PlanStore:
-    """Key-addressed directory of checksummed plan artifacts."""
+class PlanStore(BlobStore):
+    """Key-addressed store of plan artifacts (JSON payloads)."""
 
     def __init__(self, directory: Optional[pathlib.Path] = None):
-        self.directory = pathlib.Path(directory) if directory \
-            else sampling_dir()
+        super().__init__("plans", pathlib.Path(directory) if directory
+                         else store_dir("splans", "REPRO_SAMPLING_DIR"))
 
-    def path(self, key: str) -> pathlib.Path:
-        return self.directory / f"{key}.json"
-
-    def has(self, key: str) -> bool:
-        return self.path(key).is_file()
+    def decode(self, payload: bytes) -> SamplingPlan:
+        return SamplingPlan.from_dict(json.loads(payload))
 
     def put(self, plan: SamplingPlan) -> pathlib.Path:
-        path = self.path(plan.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record = {"digest": plan.digest(), "payload": plan.to_dict()}
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        self.write(plan.key, json.dumps(plan.to_dict(), indent=2,
+                                        sort_keys=True).encode())
+        return self.path(plan.key)
 
     def get(self, key: str) -> Optional[SamplingPlan]:
-        """The stored plan, or None on miss *or* corruption (corrupt
-        files are evicted with a warning, like every other store)."""
-        path = self.path(key)
-        if not path.is_file():
-            return None
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            plan = SamplingPlan.from_dict(record["payload"])
-            if plan.digest() != record.get("digest"):
-                raise ValueError("content digest mismatch")
-            if plan.key != key:
-                raise ValueError(f"stored plan keys itself {plan.key!r}")
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            warnings.warn(f"discarding corrupt sampling plan {path}: "
-                          f"{exc}", stacklevel=2)
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        """The stored plan, or None on miss *or* corruption."""
+        plan = self.load(key)
+        if plan is not None and plan.key != key:
+            self.evict(key, f"stored plan keys itself {plan.key!r}")
             return None
         return plan
-
-    def entries(self) -> List[str]:
-        if not self.directory.is_dir():
-            return []
-        return sorted(p.stem for p in self.directory.glob("*.json"))
 
 
 def build_plan(workload: str, n: int, seed: int = DEFAULT_SEED,

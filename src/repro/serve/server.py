@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import socket
 from typing import Any, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -64,6 +65,9 @@ MAX_BODY = 32 * 1024 * 1024
 
 #: Default long-poll patience for ``/v1/results`` (seconds).
 RESULT_WAIT = 30.0
+
+#: What ``/v1/results/<fingerprint>`` accepts: a job's sha256 in hex.
+_FINGERPRINT = re.compile(r"[0-9a-fA-F]{64}")
 
 
 class _HttpError(Exception):
@@ -439,6 +443,8 @@ class Server:
 
     async def _handle_result(self, fingerprint: str, query: Dict[str, str],
                              writer: asyncio.StreamWriter) -> None:
+        if not _FINGERPRINT.fullmatch(fingerprint):
+            raise _HttpError(400, "a fingerprint is 64 hex digits")
         if self.shard_map is not None \
                 and not self.shard_map.owns(fingerprint):
             raise _HttpError(

@@ -23,7 +23,6 @@ Heavy imports (runner, workloads) happen inside the subcommands, so
 from __future__ import annotations
 
 import argparse
-import pickle
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -33,21 +32,18 @@ from .report import render
 
 def _cached_payloads(limit: Optional[int] = None
                      ) -> List[Tuple[str, Dict[str, object], object]]:
-    """(fingerprint, telemetry payload, JobResult) for cached runs."""
-    from ..runner import default_cache_dir
-    directory = default_cache_dir()
+    """(fingerprint, telemetry payload, JobResult) for cached runs,
+    read (and digest-checked) through the result cache."""
+    from ..runner import ResultCache
+    cache = ResultCache(persistent=True)
     out = []
-    if not directory.is_dir():
-        return out
-    for path in sorted(directory.glob("*.pkl")):
-        try:
-            with open(path, "rb") as fh:
-                result = pickle.load(fh)
-        except Exception:
-            continue  # stale or torn entry; the cache treats it as a miss
-        payload = getattr(result, "probes", {}).get("telemetry")
+    for fingerprint in sorted(cache.entries()):
+        result = cache.load(fingerprint)
+        if result is None:
+            continue  # corrupt: the cache evicted it
+        payload = result.probes.get("telemetry")
         if isinstance(payload, dict) and payload.get("enabled"):
-            out.append((path.stem, payload, result))
+            out.append((fingerprint, payload, result))
             if limit is not None and len(out) >= limit:
                 break
     return out

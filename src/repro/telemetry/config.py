@@ -23,9 +23,10 @@ experiment layer):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+from ..envknobs import env_flag, env_int
 
 #: Default sampling period, in committed demand accesses.
 DEFAULT_INTERVAL = 1000
@@ -37,23 +38,6 @@ DEFAULT_COUNTERS: Tuple[str, ...] = (
     "pf_issued", "pf_dropped", "pf_fills", "pf_useful", "pf_useless",
     "meta_reads", "meta_writes",
 )
-
-
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    """A validated integer env knob (clear error naming the variable)."""
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {raw!r}") \
-            from None
-    if value < minimum:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {raw!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -91,8 +75,9 @@ class TelemetryConfig:
 
     @classmethod
     def from_env(cls) -> Optional["TelemetryConfig"]:
-        """The experiment-layer opt-in: None unless ``REPRO_TELEMETRY=1``."""
-        if os.environ.get("REPRO_TELEMETRY", "") in ("", "0"):
+        """The experiment-layer opt-in: None unless ``REPRO_TELEMETRY=1``
+        (junk values raise naming the variable)."""
+        if not env_flag("REPRO_TELEMETRY", False):
             return None
-        return cls(interval=_env_int("REPRO_TELEMETRY_INTERVAL",
-                                     DEFAULT_INTERVAL))
+        return cls(interval=env_int("REPRO_TELEMETRY_INTERVAL",
+                                    DEFAULT_INTERVAL))

@@ -6,17 +6,13 @@ boundaries, telemetry flush points) riding the stream, plus a chunked
 mmap-backed on-disk :class:`TraceStore` so paper-scale (100M+-access)
 traces generate once, persist, and replay in constant memory.
 
-Knobs:
+Every ``repro.runner`` trace acquisition goes through the store and
+replays via :class:`StreamingTrace`, record-for-record identical to the
+in-memory :class:`~repro.sim.trace.Trace`.  ``REPRO_TRACE_DIR``
+overrides the store root (default ``benchmarks/.traces``).
 
-* ``REPRO_TRACE_STREAM`` — tri-state (unset/``auto``/``0``/``1``):
-  route ``repro.runner`` trace acquisition through the on-disk store
-  and replay via :class:`StreamingTrace`.  Pure execution strategy —
-  results are bit-identical to the in-memory path and the knob is
-  excluded from job fingerprints.
-* ``REPRO_TRACE_DIR`` — store root (default ``benchmarks/.traces``).
-
-``python -m repro.tracestream`` lists, verifies, generates, and
-garbage-collects store entries.
+``python -m repro.tracestream gen`` generates a workload into the
+store; ``python -m repro.store traces list|verify|gc`` maintains it.
 """
 
 from .chunk import (CHUNK_RECORDS, MARK_CKPT, MARK_TELEMETRY, MARK_WARM,
@@ -26,7 +22,7 @@ from .stages import (bias, chunks_of, insert_marks, interleave,
                      periodic_marks, rechunk, records, sample, shift,
                      slice_stream, stream_length, to_trace)
 from .store import (ENV_DIR, FORMAT_VERSION, StreamingTrace, TraceStore,
-                    TraceStoreCorrupt, default_root, entry_key)
+                    default_root, entry_key)
 
 __all__ = [
     "CHUNK_RECORDS", "MARK_CKPT", "MARK_TELEMETRY", "MARK_WARM", "Mark",
@@ -35,5 +31,5 @@ __all__ = [
     "rechunk", "records", "sample", "shift", "slice_stream",
     "stream_length", "to_trace",
     "ENV_DIR", "FORMAT_VERSION", "StreamingTrace", "TraceStore",
-    "TraceStoreCorrupt", "default_root", "entry_key",
+    "default_root", "entry_key",
 ]

@@ -1,13 +1,9 @@
-"""Trace-store maintenance CLI.
+"""Trace-store generation CLI.
 
-``python -m repro.tracestream <command>``:
-
-* ``list``   — store entries with record counts and on-disk size.
-* ``verify`` — full checksum verification of one entry (or all).
-* ``gen``    — generate a workload's trace into the store (streaming,
-  constant memory) and report throughput.
-* ``gc``     — remove entries that fail verification and stale temp
-  directories.
+``python -m repro.tracestream gen <workload> --n N`` generates a
+workload's trace into the store (streaming, constant memory) and
+reports throughput.  ``python -m repro.store traces list|verify|gc``
+maintains the store.
 """
 
 from __future__ import annotations
@@ -16,48 +12,7 @@ import argparse
 import sys
 import time
 
-from .store import TraceStore, default_root
-
-
-def _dir_size(path) -> float:
-    return sum(f.stat().st_size for f in path.rglob("*")
-               if f.is_file()) / (1024.0 * 1024.0)
-
-
-def cmd_list(store: TraceStore, args) -> int:
-    entries = store.entries()
-    if not entries:
-        print(f"no traces under {store.root}")
-        return 0
-    print(f"{len(entries)} trace(s) under {store.root}")
-    for entry in entries:
-        try:
-            trace = store._open(entry)
-        except Exception as exc:  # noqa: BLE001 - CLI summarizes defects
-            print(f"  {entry.name}  CORRUPT ({exc})")
-            continue
-        assert trace is not None
-        print(f"  {entry.name}  {len(trace):>12,} records  "
-              f"{trace.header['num_chunks']:>5} chunks  "
-              f"{_dir_size(entry):8.1f} MiB")
-    return 0
-
-
-def cmd_verify(store: TraceStore, args) -> int:
-    entries = ([store.root / args.key] if args.key else store.entries())
-    bad = 0
-    for entry in entries:
-        defects = store.verify(entry)
-        if defects:
-            bad += 1
-            print(f"{entry.name}: CORRUPT")
-            for d in defects:
-                print(f"  {d}")
-        else:
-            print(f"{entry.name}: ok")
-    if not entries:
-        print(f"no traces under {store.root}")
-    return 1 if bad else 0
+from .store import TraceStore
 
 
 def cmd_gen(store: TraceStore, args) -> int:
@@ -78,37 +33,22 @@ def cmd_gen(store: TraceStore, args) -> int:
     return 0
 
 
-def cmd_gc(store: TraceStore, args) -> int:
-    removed = store.gc()
-    print(f"removed {len(removed)} entr{'y' if len(removed) == 1 else 'ies'}")
-    for path in removed:
-        print(f"  {path.name}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tracestream",
-        description="On-disk trace store maintenance.")
+        description="Generate traces into the on-disk trace store.")
     parser.add_argument("--dir", default=None,
                         help="store root (default: REPRO_TRACE_DIR or "
                              "benchmarks/.traces)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list store entries")
-    p_verify = sub.add_parser("verify", help="checksum-verify entries")
-    p_verify.add_argument("key", nargs="?", default=None,
-                          help="one entry directory name (default: all)")
     p_gen = sub.add_parser("gen", help="generate a workload into the store")
     p_gen.add_argument("workload")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--force", action="store_true",
                        help="regenerate even if already stored")
-    sub.add_parser("gc", help="drop corrupt entries and stale temp dirs")
     args = parser.parse_args(argv)
-    store = TraceStore(args.dir if args.dir else default_root())
-    return {"list": cmd_list, "verify": cmd_verify, "gen": cmd_gen,
-            "gc": cmd_gc}[args.command](store, args)
+    return cmd_gen(TraceStore(args.dir), args)
 
 
 if __name__ == "__main__":

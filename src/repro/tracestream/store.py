@@ -11,13 +11,16 @@ Layout (one directory per trace, keyed by ``(workload, n, seed)``)::
 Chunks are fixed-size (:data:`~repro.tracestream.chunk.CHUNK_RECORDS`
 records; the last partial), each column a plain ``.npy`` opened with
 ``mmap_mode="r"`` on read — so replaying a 100M-access trace touches
-O(chunk) resident memory, not O(n).  Writes are atomic in the
-checkpoint-store style: everything lands in a temp directory that is
-``os.replace``d into place after the header (written last) commits the
-content digests; a racing writer loses cleanly and adopts the winner.
-A corrupt entry (bad header, wrong version, missing/mis-sized chunk
-file) degrades to a store miss; ``verify`` rechecks full sha256 content
-digests, ``gc`` removes entries that fail.
+O(chunk) resident memory, not O(n).  Everything lands in a temp
+directory that is ``os.replace``d into place after the header (written
+last) commits the content digests; a racing writer loses cleanly and
+adopts the winner.
+
+The root, eviction and maintenance come from :mod:`repro.store`: a
+corrupt entry (bad header, wrong version, missing/mis-sized chunk file)
+is evicted to a miss on ``get`` — counted, warned about and logged —
+while ``verify`` rechecks the full sha256 content digests, which no
+open does (rehashing 100M records per open would defeat the store).
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..envknobs import env_dir
+from ..store import Store, StoreCorrupt, check_key, oldest_first, \
+    store_dir
 from .chunk import CHUNK_RECORDS, StreamItem, TraceChunk
 from . import stages
 
-#: On-disk format version; a mismatch is treated as a miss, never read.
+#: On-disk format version; a mismatch is treated as corrupt, never read.
 FORMAT_VERSION = 1
 
 _COLUMNS: Tuple[Tuple[str, str], ...] = (
@@ -49,19 +53,9 @@ _KEY_SAFE = re.compile(r"[^A-Za-z0-9._-]")
 ENV_DIR = "REPRO_TRACE_DIR"
 
 
-class TraceStoreCorrupt(RuntimeError):
-    """A store entry exists but cannot be trusted or decoded."""
-
-
 def default_root() -> pathlib.Path:
     """Store root: ``REPRO_TRACE_DIR`` or ``benchmarks/.traces``."""
-    override = env_dir(ENV_DIR)
-    if override:
-        return pathlib.Path(override)
-    repo_root = pathlib.Path(__file__).resolve().parents[3]
-    if (repo_root / "benchmarks").is_dir():
-        return repo_root / "benchmarks" / ".traces"
-    return pathlib.Path.home() / ".cache" / "repro-traces"
+    return store_dir("traces", ENV_DIR)
 
 
 def entry_key(workload: str, n: int, seed: int) -> str:
@@ -89,7 +83,8 @@ class StreamingTrace:
     ``len``, ``iter_from`` / ``__iter__``, ``chunk_at``,
     ``instructions`` — but reads columns from mmap'd chunk files,
     keeping resident memory constant in trace length.  A two-entry
-    chunk cache makes sequential replay touch each file once.
+    chunk cache makes sequential replay touch each file once; it is
+    emptied when a replay ends, so an idle handle holds no open files.
     """
 
     def __init__(self, directory: pathlib.Path, header: Dict[str, Any]):
@@ -147,7 +142,12 @@ class StreamingTrace:
                           merged["deps"])
 
     def iter_chunks(self, start: int = 0) -> Iterator[TraceChunk]:
-        return stages.chunks_of(self, start, self._chunk)
+        try:
+            yield from stages.chunks_of(self, start, self._chunk)
+        finally:
+            # Each cached column holds an open file; a process keeps
+            # every handle it acquired, so release them between replays.
+            self._cache.clear()
 
     def iter_from(self, start: int):
         """Record tuples from ``start`` — the same values, in the same
@@ -158,7 +158,7 @@ class StreamingTrace:
         return self.iter_from(0)
 
 
-class TraceStore:
+class TraceStore(Store):
     """Keyed persistence for generated traces.
 
     ``get`` returns a :class:`StreamingTrace` (or None); ``put`` drains
@@ -169,8 +169,8 @@ class TraceStore:
 
     def __init__(self, root: Optional[pathlib.Path] = None,
                  chunk_records: int = CHUNK_RECORDS):
-        self.root = pathlib.Path(root) if root is not None \
-            else default_root()
+        super().__init__("traces", pathlib.Path(root) if root is not None
+                         else default_root())
         self.chunk_records = chunk_records
         self.hits = 0
         self.misses = 0
@@ -178,20 +178,19 @@ class TraceStore:
     # -- lookup ------------------------------------------------------------
 
     def path_for(self, workload: str, n: int, seed: int) -> pathlib.Path:
-        return self.root / entry_key(workload, n, seed)
+        return self.directory / entry_key(workload, n, seed)
 
     def has(self, workload: str, n: int, seed: int) -> bool:
         return (self.path_for(workload, n, seed) / "header.json").is_file()
 
     def get(self, workload: str, n: int, seed: int
             ) -> Optional[StreamingTrace]:
-        directory = self.path_for(workload, n, seed)
+        key = entry_key(workload, n, seed)
         try:
-            trace = self._open(directory)
-        except TraceStoreCorrupt:
-            # Unusable entry: degrade to a miss and clear the slot so
-            # the next put() can regenerate it.
-            shutil.rmtree(directory, ignore_errors=True)
+            trace = self._open(self.directory / key)
+        except StoreCorrupt as exc:
+            # Clear the slot so the next put() can regenerate it.
+            self.evict(key, str(exc))
             trace = None
         if trace is None:
             self.misses += 1
@@ -206,30 +205,28 @@ class TraceStore:
         try:
             header = json.loads(header_path.read_text(encoding="utf-8"))
         except (ValueError, OSError) as exc:
-            raise TraceStoreCorrupt(f"{header_path}: unreadable "
-                                    f"({exc})") from exc
-        if header.get("format") != FORMAT_VERSION:
-            raise TraceStoreCorrupt(
-                f"{header_path}: format {header.get('format')!r}, "
-                f"expected {FORMAT_VERSION}")
+            raise StoreCorrupt(f"{header_path}: unreadable "
+                               f"({exc})") from exc
+        if not isinstance(header, dict) \
+                or header.get("format") != FORMAT_VERSION:
+            raise StoreCorrupt(f"{header_path}: not a format-"
+                               f"{FORMAT_VERSION} trace header")
         for key in ("name", "total", "chunk_records", "num_chunks",
                     "instructions", "digests", "sizes"):
             if key not in header:
-                raise TraceStoreCorrupt(f"{header_path}: missing {key!r}")
+                raise StoreCorrupt(f"{header_path}: missing {key!r}")
         # Cheap structural check on open: every chunk file must exist
         # at its recorded byte size — catches truncation from a torn
-        # copy or full disk with O(files) stats.  Full content digests
-        # are verify()'s job; rehashing 100M records on every open
-        # would defeat the point of the store.
+        # copy or full disk with O(files) stats.
         for fname, want_bytes in header["sizes"].items():
             path = directory / fname
             try:
                 size = path.stat().st_size
             except OSError:
-                raise TraceStoreCorrupt(
+                raise StoreCorrupt(
                     f"{directory}: missing {fname}") from None
             if size != want_bytes:
-                raise TraceStoreCorrupt(
+                raise StoreCorrupt(
                     f"{path}: {size} bytes, expected {want_bytes}")
         return StreamingTrace(directory, header)
 
@@ -245,10 +242,11 @@ class TraceStore:
         of the same key wins or loses atomically; either way the caller
         gets a readable entry back.
         """
-        final = self.path_for(workload, n, seed)
-        self.root.mkdir(parents=True, exist_ok=True)
+        key = entry_key(workload, n, seed)
+        final = self.directory / key
+        self.directory.mkdir(parents=True, exist_ok=True)
         tmp = pathlib.Path(tempfile.mkdtemp(
-            dir=self.root, prefix=f".{entry_key(workload, n, seed)}."))
+            dir=self.directory, prefix=f".{key}.", suffix=".tmp"))
         try:
             digests: Dict[str, str] = {}
             sizes: Dict[str, int] = {}
@@ -311,24 +309,32 @@ class TraceStore:
             trace = self.put(workload, n, seed, generate())
         return trace
 
-    # -- maintenance -------------------------------------------------------
+    # -- maintenance (``python -m repro.store traces ...``) ----------------
 
-    def entries(self) -> List[pathlib.Path]:
-        if not self.root.is_dir():
+    def entries(self) -> List[str]:
+        if not self.directory.is_dir():
             return []
-        return sorted(d for d in self.root.iterdir()
-                      if d.is_dir() and not d.name.startswith("."))
+        return [d.name for d in oldest_first(
+            d for d in self.directory.iterdir()
+            if d.is_dir() and not d.name.startswith("."))]
 
-    def verify(self, directory: pathlib.Path) -> List[str]:
-        """Full content check of one entry; returns defects (empty=ok)."""
-        defects: List[str] = []
-        try:
-            trace = self._open(directory)
-        except TraceStoreCorrupt as exc:
-            return [str(exc)]
+    def remove(self, key: str) -> bool:
+        directory = self.directory / check_key(key)
+        if not directory.is_dir():
+            return False
+        shutil.rmtree(directory, ignore_errors=True)
+        return True
+
+    def verify(self, key: str) -> int:
+        """Full content check of one entry: every chunk file against
+        its header digest.  Returns the entry's size in bytes."""
+        directory = self.directory / check_key(key)
+        trace = self._open(directory)
         if trace is None:
-            return [f"{directory}: no header"]
+            raise FileNotFoundError(str(directory / "header.json"))
+        defects: List[str] = []
         total = 0
+        size = 0
         for idx in range(trace.header["num_chunks"]):
             for col, _ in _COLUMNS:
                 fname = _chunk_file(idx, col)
@@ -346,25 +352,14 @@ class TraceStore:
                     defects.append(f"{fname}: checksum mismatch")
                 if col == "pcs":
                     total += len(arr)
+                size += trace.header["sizes"].get(fname, 0)
         if total != trace.header["total"]:
-            defects.append(f"{directory}: {total} records on disk, "
-                           f"header says {trace.header['total']}")
-        return defects
-
-    def gc(self) -> List[pathlib.Path]:
-        """Remove entries failing verification (and stale tmp dirs)."""
-        removed: List[pathlib.Path] = []
-        if not self.root.is_dir():
-            return removed
-        for stale in self.root.glob(".*.*"):
-            if stale.is_dir():
-                shutil.rmtree(stale, ignore_errors=True)
-                removed.append(stale)
-        for entry in self.entries():
-            if self.verify(entry):
-                shutil.rmtree(entry, ignore_errors=True)
-                removed.append(entry)
-        return removed
+            defects.append(f"{total} records on disk, header says "
+                           f"{trace.header['total']}")
+        if defects:
+            raise StoreCorrupt("; ".join(defects))
+        return size
 
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses}
+

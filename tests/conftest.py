@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import tempfile
 
 import pytest
 
 from repro.sim.config import SystemConfig
 from repro.sim.trace import TraceBuilder
+from repro.store import drain_evictions
 
 # Keep the suite hermetic: never read results persisted by earlier (and
 # possibly semantically different) builds.  Cache tests opt back in with
@@ -17,12 +20,27 @@ os.environ.setdefault("REPRO_CACHE", "0")
 # Likewise don't litter benchmarks/.obs with run logs from every runner
 # test; obs tests opt back in with REPRO_OBS=1 + a tmp REPRO_OBS_DIR.
 os.environ.setdefault("REPRO_OBS", "0")
-# And keep sampling off (experiments stay exact) with any plans a test
-# does build going to a throwaway directory, not benchmarks/.splans;
-# sampling tests opt back in with explicit PlanStore instances.
+# And keep sampling off (experiments stay exact).
 os.environ.setdefault("REPRO_SAMPLING", "0")
-os.environ.setdefault("REPRO_SAMPLING_DIR",
-                      tempfile.mkdtemp(prefix="repro-splans-"))
+# Every store a test writes without naming a directory lands in one
+# throwaway tree, never in benchmarks/: warm-up fingerprints and trace
+# keys do not cover simulator or generator source, so a later run could
+# otherwise restore a checkpoint or replay a trace an older build wrote.
+_STORES = tempfile.mkdtemp(prefix="repro-test-stores-")
+atexit.register(shutil.rmtree, _STORES, ignore_errors=True)
+for _knob, _name in (("REPRO_CACHE_DIR", "simcache"),
+                     ("REPRO_CKPT_DIR", "ckpt"),
+                     ("REPRO_OBS_DIR", "obs"),
+                     ("REPRO_SAMPLING_DIR", "splans"),
+                     ("REPRO_TRACE_DIR", "traces")):
+    os.environ.setdefault(_knob, os.path.join(_STORES, _name))
+
+
+@pytest.fixture(autouse=True)
+def _own_evictions():
+    """Each test sees only the ``cache_evict`` records its own reads
+    queue, not those an earlier test left for a runner batch."""
+    drain_evictions()
 
 
 @pytest.fixture

@@ -17,8 +17,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.checkpoint import (CheckpointCorrupt, CheckpointStore, dump,
-                              dumps_size, load, state_equal)
+from repro.checkpoint import (CheckpointStore, dumps, dumps_size, loads,
+                              state_equal)
 from repro.core.replacement import StoredEntry, make_stream_replacement
 from repro.core.stream_entry import StreamEntry
 from repro.memory.replacement import POLICIES, make_policy
@@ -47,7 +47,7 @@ def small_engine(prefetcher: str, workload: str = "gap.pr",
 # -- serializer ------------------------------------------------------------
 
 
-def test_serializer_roundtrip(tmp_path):
+def test_serializer_roundtrip():
     state = {
         "ints": [1, -2, 3],
         "mixed": [None, True, False, 1.5, "s"],
@@ -55,9 +55,7 @@ def test_serializer_roundtrip(tmp_path):
         "arr2d": np.zeros((3, 4), dtype=bool),
         "tuple": (1, 2),
     }
-    path = tmp_path / "x.npz"
-    dump(str(path), state, {"phase": "test"})
-    meta, loaded = load(str(path))
+    meta, loaded = loads(dumps(state, {"phase": "test"}))
     assert meta == {"phase": "test"}
     assert state_equal(state, loaded)
     # Tuples come back as lists — state_equal treats them as equal.
@@ -65,31 +63,13 @@ def test_serializer_roundtrip(tmp_path):
     assert dumps_size(state) > 0
 
 
-def test_serializer_rejects_bad_trees(tmp_path):
+def test_serializer_rejects_bad_trees():
     with pytest.raises(TypeError):
-        dump(str(tmp_path / "a.npz"), {1: "non-string key"}, {})
+        dumps({1: "non-string key"}, {})
     with pytest.raises(TypeError):
-        dump(str(tmp_path / "b.npz"), {"__nd__": 0}, {})
+        dumps({"__nd__": 0}, {})
     with pytest.raises(TypeError):
-        dump(str(tmp_path / "c.npz"), {"obj": object()}, {})
-
-
-def test_serializer_detects_corruption(tmp_path):
-    path = tmp_path / "x.npz"
-    dump(str(path), {"a": np.arange(100)}, {})
-    raw = bytearray(path.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointCorrupt):
-        load(str(path))
-
-
-def test_serializer_detects_truncation(tmp_path):
-    path = tmp_path / "x.npz"
-    dump(str(path), {"a": np.arange(100)}, {})
-    path.write_bytes(path.read_bytes()[:64])
-    with pytest.raises(CheckpointCorrupt):
-        load(str(path))
+        dumps({"obj": object()}, {})
 
 
 def test_state_equal_semantics():
@@ -111,20 +91,10 @@ def test_store_roundtrip_and_gc(tmp_path):
     assert store.get("missing") is None
     meta, state = store.get_with_meta("k1")
     assert meta["phase"] == "warmup" and state == {"x": 1}
-    assert store.verify("k2")["phase"] == "progress"
+    assert store.verify("k2") > 0
     assert set(store.entries()) == {"k1", "k2"}
     dropped = store.gc(keep=1)
     assert len(dropped) == 1 and len(store.entries()) == 1
-
-
-def test_store_corrupt_entry_degrades_to_miss(tmp_path):
-    store = CheckpointStore(tmp_path)
-    store.put("k", {"x": np.arange(50)}, {})
-    path = store.path("k")
-    path.write_bytes(b"not a zip archive at all")
-    with pytest.warns(UserWarning, match="corrupt"):
-        assert store.get("k") is None
-    assert not path.exists()  # unlinked, so the next run re-simulates
 
 
 def test_store_rejects_bad_keys(tmp_path):
@@ -139,14 +109,12 @@ def test_store_rejects_bad_keys(tmp_path):
 
 
 @pytest.mark.parametrize("name", PREFETCHERS)
-def test_prefetcher_state_roundtrip(name, tmp_path):
+def test_prefetcher_state_roundtrip(name):
     """Mid-run prefetcher state survives self- and npz round-trips."""
     engine = small_engine(name)
     engine.run_warmup()
     snap = engine.state_dict()
-    path = tmp_path / "snap.npz"
-    dump(str(path), snap, {})
-    _, loaded = load(str(path))
+    _, loaded = loads(dumps(snap, {}))
     assert state_equal(snap, loaded)
 
     fresh = small_engine(name)

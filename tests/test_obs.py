@@ -801,8 +801,11 @@ class TestCacheEvictRecords:
         SimRunner(jobs=1, cache=ResultCache(
             cache_dir, persistent=True)).run_one(job)
         # Corrupt the stored entry; the next batch's lookup evicts it.
-        (cache_dir / f"{job.fingerprint()}.pkl").write_bytes(b"junk")
         fresh = ResultCache(cache_dir, persistent=True)
+        path = fresh.path(job.fingerprint())
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF
+        path.write_bytes(bytes(raw))
         with pytest.warns(UserWarning, match="evicting corrupt"):
             SimRunner(jobs=1, cache=fresh).run_one(job)
         runs = runlog.list_runs(tmp_path / "obs")
@@ -810,5 +813,6 @@ class TestCacheEvictRecords:
         start = next(r for r in records if r["event"] == "run_start")
         assert start["evictions"] == 1
         evict = next(r for r in records if r["event"] == "cache_evict")
-        assert evict["fingerprint"] == job.fingerprint()
+        assert evict["store"] == "results"
+        assert evict["key"] == job.fingerprint()
         assert "sha256" in evict["reason"]

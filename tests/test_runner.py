@@ -153,22 +153,6 @@ def test_config_change_invalidates(tmp_path):
     assert cache.stats.misses == 2  # new fingerprint, no false hit
 
 
-def test_corrupt_disk_entry_is_recomputed(tmp_path):
-    cache = ResultCache(tmp_path, persistent=True)
-    runner = SimRunner(jobs=1, cache=cache)
-    job = SimJob.single("gap.pr", TINY_N, CFG, l1="stride")
-    runner.run_one(job)
-    path = cache._path(job.fingerprint())
-    # "garbage\n" starts with the pickle GET opcode, whose operand parse
-    # raises ValueError rather than UnpicklingError — both must be misses.
-    for junk in (b"not a pickle", b"garbage\n"):
-        path.write_bytes(junk)
-        fresh = ResultCache(tmp_path, persistent=True)
-        result = SimRunner(jobs=1, cache=fresh).run_one(job)
-        assert result.single.ipc > 0
-        assert fresh.stats.misses == 1
-
-
 def test_probe_results_travel_with_cache(tmp_path):
     cache = ResultCache(tmp_path, persistent=True)
     job = SimJob.single("gap.pr", TINY_N, CFG, l1="stride",
@@ -200,16 +184,14 @@ def test_repro_cache_opt_out(monkeypatch, tmp_path):
     assert not (tmp_path / "sc").exists()  # nothing persisted
 
 
-def test_trace_cache_memoizes_and_bounds(monkeypatch):
+def test_trace_acquisition_memoizes_handles():
     traces.clear()
     t1 = traces.get_trace("gap.pr", 2000, 1234)
     t2 = traces.get_trace("gap.pr", 2000, 1234)
     assert t1 is t2
     assert traces.get_trace("gap.pr", 2000, 99) is not t1
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
-    for i in range(4):
-        traces.get_trace("gap.pr", 1000 + i, 1234)
-    assert traces.cache_size() <= 2
+    traces.clear()
+    assert traces.get_trace("gap.pr", 2000, 1234) is not t1
     traces.clear()
 
 
@@ -229,49 +211,14 @@ class TestCacheIntegrity:
         SimRunner(jobs=1, cache=cache).run_one(job)
         return cache, job.fingerprint()
 
-    def test_put_writes_verifiable_sha256_sidecar(self, tmp_path):
-        cache, fp = self._stored(tmp_path)
-        sidecar = cache._digest_path(fp)
-        assert sidecar.is_file()
-        import hashlib
-        blob = cache._path(fp).read_bytes()
-        assert sidecar.read_text().strip() == \
-            hashlib.sha256(blob).hexdigest()
-        assert cache.verify(fp) == len(blob)
-
-    def test_digest_mismatch_evicts_to_miss(self, tmp_path):
-        _, fp = self._stored(tmp_path)
-        fresh = ResultCache(tmp_path, persistent=True)
-        # Valid pickle, wrong bytes: only the digest can catch it.
-        fresh._path(fp).write_bytes(b"\x80\x04N.")  # pickle of None
-        with pytest.warns(UserWarning, match="evicting corrupt"):
-            assert fresh.get(fp) is None
-        assert fresh.stats.evictions == 1
-        assert fresh.stats.misses == 1
-        assert not fresh._path(fp).exists()
-        assert not fresh._digest_path(fp).exists()
-        drained = fresh.drain_evictions()
-        assert len(drained) == 1 and drained[0]["fingerprint"] == fp
-        assert "sha256" in drained[0]["reason"]
-        assert fresh.drain_evictions() == []  # drained means drained
-
-    def test_missing_sidecar_evicts_to_miss(self, tmp_path):
-        _, fp = self._stored(tmp_path)
-        fresh = ResultCache(tmp_path, persistent=True)
-        fresh._digest_path(fp).unlink()
-        with pytest.warns(UserWarning, match="sidecar"):
-            assert fresh.get(fp) is None
-        assert fresh.stats.evictions == 1
-        assert not fresh._path(fp).exists()
-
     def test_verify_reports_without_evicting(self, tmp_path):
-        from repro.runner import CacheCorrupt
+        from repro.store import StoreCorrupt
         _, fp = self._stored(tmp_path)
         fresh = ResultCache(tmp_path, persistent=True)
-        fresh._path(fp).write_bytes(b"junk")
-        with pytest.raises(CacheCorrupt):
+        fresh.path(fp).write_bytes(b"junk")
+        with pytest.raises(StoreCorrupt):
             fresh.verify(fp)
-        assert fresh._path(fp).exists()  # verify reports, get repairs
+        assert fresh.path(fp).exists()  # verify reports, get repairs
         assert fresh.stats.evictions == 0
 
     def test_concurrent_puts_leave_readable_winner(self, tmp_path):
@@ -295,49 +242,6 @@ class TestCacheIntegrity:
         assert reloaded is not None
         assert reloaded.single == result.single
         assert fresh.stats.evictions == 0
-
-
-class TestCacheCli:
-    def _stored(self, tmp_path, count=2):
-        cache = ResultCache(tmp_path, persistent=True)
-        runner = SimRunner(jobs=1, cache=cache)
-        fingerprints = []
-        for wl in ("gap.pr", "06.lbm")[:count]:
-            job = SimJob.single(wl, TINY_N, CFG, l1="stride")
-            runner.run_one(job)
-            fingerprints.append(job.fingerprint())
-        return cache, fingerprints
-
-    def test_list_and_verify_ok(self, tmp_path, capsys):
-        from repro.runner.__main__ import main
-        _, fingerprints = self._stored(tmp_path)
-        assert main(["cache", "--dir", str(tmp_path), "list"]) == 0
-        out = capsys.readouterr().out
-        for fp in fingerprints:
-            assert fp in out and "KiB" in out
-        assert main(["cache", "--dir", str(tmp_path), "verify"]) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_verify_flags_corruption(self, tmp_path, capsys):
-        from repro.runner.__main__ import main
-        cache, fingerprints = self._stored(tmp_path, count=1)
-        cache._path(fingerprints[0]).write_bytes(b"junk")
-        assert main(["cache", "--dir", str(tmp_path), "verify"]) == 1
-        assert "CORRUPT" in capsys.readouterr().err
-        assert main(["cache", "--dir", str(tmp_path), "list"]) == 0
-        assert "CORRUPT" in capsys.readouterr().out
-
-    def test_gc_keeps_most_recent(self, tmp_path, capsys):
-        import os
-        from repro.runner.__main__ import main
-        cache, fingerprints = self._stored(tmp_path)
-        # Make mtime order unambiguous for the oldest-first policy.
-        os.utime(cache._path(fingerprints[0]), (1, 1))
-        assert main(["cache", "--dir", str(tmp_path), "gc",
-                     "--keep", "1"]) == 0
-        assert fingerprints[0] in capsys.readouterr().out
-        left = ResultCache(tmp_path, persistent=True).entries()
-        assert left == [fingerprints[1]]
 
 
 def test_cache_flag_is_validated(monkeypatch):

@@ -200,6 +200,21 @@ class TestSingleInstance:
         finally:
             thread.stop()
 
+    def test_result_endpoint_malformed_fingerprint_400(self):
+        thread = _server()
+        try:
+            client = ServeClient(thread.url)
+            for bad in ("../victim", "..%2Fvictim", "abc", "g" * 64,
+                        "0" * 63, "0" * 65):
+                status, payload = client._get_raw(
+                    f"{thread.url}/v1/results/{bad}?timeout=0")
+                assert status == 400, bad
+                assert "64 hex digits" in payload["error"]
+            # Refused before the broker: no cache lookup happened.
+            assert client.stats()["cache"]["misses"] == 0
+        finally:
+            thread.stop()
+
     def test_invalid_payload_is_refused_loudly(self):
         thread = _server()
         try:

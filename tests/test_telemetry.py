@@ -25,7 +25,7 @@ from repro.memory.hierarchy import SharedUncore
 from repro.runner import SimJob, spec
 from repro.runner.jobs import execute_job
 from repro.runner.runner import env_jobs
-from repro.runner.traces import _capacity, get_trace
+from repro.runner.traces import get_trace
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.telemetry import (COUNTER_SPECS, IntervalSampler,
@@ -161,16 +161,6 @@ class TestKnobValidation:
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert env_jobs() == 3
 
-    def test_repro_trace_cache_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "lots")
-        with pytest.raises(ValueError, match="REPRO_TRACE_CACHE"):
-            _capacity()
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "-1")
-        with pytest.raises(ValueError, match="REPRO_TRACE_CACHE"):
-            _capacity()
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")  # 0 = disabled, valid
-        assert _capacity() == 0
-
     def test_telemetry_env_knobs(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         assert TelemetryConfig.from_env() is None
@@ -182,6 +172,15 @@ class TestKnobValidation:
         monkeypatch.setenv("REPRO_TELEMETRY_INTERVAL", "abc")
         with pytest.raises(ValueError, match="REPRO_TELEMETRY_INTERVAL"):
             TelemetryConfig.from_env()
+
+    def test_telemetry_flag_rejects_junk(self, monkeypatch):
+        # Junk must not read as "on": that would silently change every
+        # experiment's job fingerprints.
+        monkeypatch.delenv("REPRO_TELEMETRY_INTERVAL", raising=False)
+        for junk in ("false", "yes", "on"):
+            monkeypatch.setenv("REPRO_TELEMETRY", junk)
+            with pytest.raises(ValueError, match="REPRO_TELEMETRY"):
+                TelemetryConfig.from_env()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
