@@ -31,16 +31,15 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 WORKLOAD = "gap.pr"
 DEGREES = (1, 2, 3, 4, 6, 8)
 
-
-def _quick() -> bool:
-    return os.environ.get("REPRO_QUICK", "") not in ("", "0")
+#: Accesses per trace when ``REPRO_N`` is unset.
+DEFAULT_N = 60_000
 
 
 def _jobs():
-    from repro.experiments.common import experiment_config
+    from repro.experiments.common import env_n, experiment_config
     from repro.runner import SimJob, spec
 
-    n = int(os.environ.get("REPRO_N", 60_000))
+    n = env_n(DEFAULT_N)
     # Half the trace is warm-up: the region the sweep shares.
     cfg = dataclasses.replace(experiment_config(), warmup_fraction=0.5)
     l2 = (spec("streamline", stability_degree=False),)
@@ -112,9 +111,14 @@ def _measure(ckpt_dir: str):
     return lines, speedup
 
 
+def _speedup_floor() -> float:
+    from repro.experiments.common import env_n, quick_mode
+
+    return 1.0 if quick_mode() or env_n(DEFAULT_N) < 40_000 else 1.3
+
+
 def _check_speedup(speedup: float) -> None:
-    floor = 1.0 if (_quick() or int(os.environ.get("REPRO_N", 60_000))
-                    < 40_000) else 1.3
+    floor = _speedup_floor()
     assert speedup > floor, \
         f"warm-up reuse speedup {speedup:.2f}x below the {floor}x floor"
 

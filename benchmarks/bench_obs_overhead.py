@@ -41,10 +41,10 @@ MAX_OBS_PLANE_OVERHEAD = 0.10
 
 
 def _job():
-    from repro.experiments.common import experiment_config
+    from repro.experiments.common import env_n, experiment_config
     from repro.runner import SimJob, spec
 
-    n = int(os.environ.get("REPRO_N", "") or 30_000)
+    n = env_n(30_000)
     return SimJob.single(WORKLOAD, n, experiment_config(), l1="stride",
                          l2=(spec("streamline"),))
 

@@ -19,7 +19,6 @@ Run standalone: ``python benchmarks/bench_sampling.py``
 """
 
 import json
-import os
 import pathlib
 import sys
 import time
@@ -38,15 +37,24 @@ MIN_REDUCTION = 5.0
 PAPER_WORKLOAD = "gap.pr"
 
 
-def _quick() -> bool:
-    return os.environ.get("REPRO_QUICK", "") not in ("", "0")
+def _validation_grid():
+    """``(workloads, arms, n)`` of the sampled-vs-full check: the full
+    default grid, or its cheapest row under ``REPRO_QUICK``."""
+    from repro.experiments.common import quick_mode
+    from repro.runner import spec
+    from repro.sampling.__main__ import VALIDATE_ARMS, VALIDATE_WORKLOADS
+
+    if quick_mode():
+        return [VALIDATE_WORKLOADS[-1]], {"baseline": ()}, 24_000
+    arms = {name: tuple(spec(s) for s in l2)
+            for name, l2 in VALIDATE_ARMS.items()}
+    return VALIDATE_WORKLOADS, arms, 120_000
 
 
 def _measure():
-    from repro.experiments.common import experiment_config
+    from repro.experiments.common import experiment_config, quick_mode
     from repro.runner import spec
     from repro.sampling import PlanStore, get_plan, validate_sampling
-    from repro.sampling.__main__ import VALIDATE_ARMS, VALIDATE_WORKLOADS
 
     store = PlanStore()  # benchmarks/.splans unless REPRO_SAMPLING_DIR
 
@@ -58,14 +66,7 @@ def _measure():
         f"paper-scale reduction {reduction:.1f}x < {MIN_REDUCTION}x " \
         f"({plan.simulated_accesses()} of {PAPER_N} accesses simulated)"
 
-    if _quick():
-        workloads, arms, v_n = [VALIDATE_WORKLOADS[-1]], \
-            {"baseline": ()}, 24_000
-    else:
-        workloads = VALIDATE_WORKLOADS
-        arms = {name: tuple(spec(s) for s in l2)
-                for name, l2 in VALIDATE_ARMS.items()}
-        v_n = 120_000
+    workloads, arms, v_n = _validation_grid()
     t0 = time.perf_counter()
     rows = validate_sampling(workloads, v_n, experiment_config(), arms,
                              l1=spec("stride"), store=store)
@@ -90,7 +91,7 @@ def _measure():
         "validate_checks": len(rows),
         "max_observed_error": round(max_error, 4),
         "validate_secs": round(validate_secs, 3),
-        "quick": _quick(),
+        "quick": quick_mode(),
         "rows": [{"workload": r.workload, "arm": r.arm,
                   "metric": r.metric, "full": r.full,
                   "estimate": r.estimate, "rel_error": round(

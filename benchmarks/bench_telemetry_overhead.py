@@ -17,7 +17,6 @@ The measured quantity is the wall-clock ratio of on vs. off execution
 Run standalone: ``python benchmarks/bench_telemetry_overhead.py``
 """
 
-import os
 import pathlib
 import sys
 import time
@@ -28,11 +27,11 @@ WORKLOAD = "gap.pr"
 
 
 def _jobs():
-    from repro.experiments.common import experiment_config
+    from repro.experiments.common import env_n, experiment_config
     from repro.runner import SimJob, spec
     from repro.telemetry import TelemetryConfig
 
-    n = int(os.environ.get("REPRO_N", 30_000))
+    n = env_n(30_000)
     cfg = experiment_config()
     l2 = (spec("streamline"),)
     off = SimJob.single(WORKLOAD, n, cfg, l1="stride", l2=l2)

@@ -22,7 +22,6 @@ Run standalone: ``python benchmarks/bench_tracestream.py``
 """
 
 import json
-import os
 import pathlib
 import sys
 import tempfile
@@ -44,17 +43,17 @@ RECORD_BYTES = 22
 WORKLOAD = "06.lbm"  # pure stream archetype: regular, rng-free
 
 
-def _quick() -> bool:
-    return os.environ.get("REPRO_QUICK", "") not in ("", "0")
-
-
 def _n() -> int:
-    n = int(os.environ.get("REPRO_N", "") or 10_000_000)
-    return min(n, 1_000_000) if _quick() else n
+    from repro.experiments.common import env_n, quick_mode
+
+    n = env_n(10_000_000)
+    return min(n, 1_000_000) if quick_mode() else n
 
 
 def _speedup_floor() -> float:
-    return 2.5 if _quick() else 4.0
+    from repro.experiments.common import quick_mode
+
+    return 2.5 if quick_mode() else 4.0
 
 
 def _scalar_reference(n: int):

@@ -17,18 +17,6 @@ for a known-slower runner via ``REPRO_PERF_SCALE`` (e.g. ``1.5`` allows
 baseline*1.5*factor).  ``REPRO_PERF_GUARD=0`` skips the check entirely.
 Refresh the baseline with ``--update`` (alias: ``--write-baseline``)
 after an intentional perf change, and commit the file.
-
-``--history`` switches to trend mode: the run is appended to
-``results/perf_history.jsonl`` and the verdict is taken over the
-*median of the last K runs* (``--window``, default 5) instead of the
-single sample, so one noisy CI run never fails the job but a sustained
-regression — e.g. a 40% slowdown that persists across a window — does::
-
-    python benchmarks/perf_guard.py fig9 --history
-
-The history file is an append-only JSONL of
-``{"exp_id", "wall_seconds", "ts", "quick", "n", "jobs"}`` records;
-CI uploads it as an artifact so trends survive the runner.
 """
 
 from __future__ import annotations
@@ -37,19 +25,12 @@ import argparse
 import json
 import os
 import pathlib
-import statistics
-import sys
-import time
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE = pathlib.Path(__file__).parent / "perf_baseline.json"
-HISTORY = RESULTS_DIR / "perf_history.jsonl"
 
 #: A run slower than ``baseline * factor * REPRO_PERF_SCALE`` fails.
 DEFAULT_FACTOR = 1.30
-
-#: Trend mode judges the median of this many most-recent runs.
-DEFAULT_WINDOW = 5
 
 
 def _load(path: pathlib.Path) -> dict:
@@ -69,62 +50,6 @@ def _wall(exp_id: str) -> float:
             "run the bench first")
 
 
-def _append_history(path: pathlib.Path, exp_id: str,
-                    wall: float) -> dict:
-    record = {
-        "exp_id": exp_id,
-        "wall_seconds": round(wall, 4),
-        "ts": round(time.time(), 3),
-        "quick": os.environ.get("REPRO_QUICK", ""),
-        "n": os.environ.get("REPRO_N", ""),
-        "jobs": os.environ.get("REPRO_JOBS", ""),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return record
-
-
-def _history_walls(path: pathlib.Path, exp_id: str) -> list:
-    """All recorded wall times for ``exp_id``, oldest first.  Malformed
-    lines are skipped — the file is append-only and a torn final write
-    must not wedge the guard."""
-    walls = []
-    if not path.is_file():
-        return walls
-    for line in path.read_text(encoding="utf-8").splitlines():
-        try:
-            record = json.loads(line)
-            if record.get("exp_id") == exp_id:
-                walls.append(float(record["wall_seconds"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            continue
-    return walls
-
-
-def _trend_verdict(exp_id: str, walls: list, ref: float, limit: float,
-                   window: int) -> int:
-    """Median-of-last-``window`` check: returns the exit code."""
-    recent = walls[-window:]
-    median = statistics.median(recent)
-    if len(recent) < window:
-        print(f"perf_guard: {exp_id}: history has {len(recent)}/{window}"
-              f" runs (median {median:.3f}s); trend verdict deferred "
-              "until the window fills")
-        return 0
-    verdict = "OK" if median <= limit else "FAIL"
-    print(f"perf_guard: {exp_id}: median of last {window} runs "
-          f"{median:.3f}s vs baseline {ref:.3f}s "
-          f"(limit {limit:.3f}s) -> {verdict}")
-    if median > limit:
-        print(f"perf_guard: {exp_id} shows a sustained regression "
-              f"({median / ref:.2f}x over baseline across {window} "
-              "runs); if intentional, refresh with --update and reset "
-              "results/perf_history.jsonl")
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/perf_guard.py",
@@ -136,16 +61,6 @@ def main(argv=None) -> int:
     parser.add_argument("--update", "--write-baseline",
                         action="store_true",
                         help="record the current result as the baseline")
-    parser.add_argument("--history", action="store_true",
-                        help="append this run to the history file and "
-                             "judge the median of the trailing window "
-                             "instead of the single sample")
-    parser.add_argument("--history-file", type=pathlib.Path,
-                        default=HISTORY,
-                        help=f"trend history JSONL (default {HISTORY})")
-    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                        help="trailing runs the trend median covers "
-                             f"(default {DEFAULT_WINDOW})")
     args = parser.parse_args(argv)
 
     if os.environ.get("REPRO_PERF_GUARD", "") == "0":
@@ -171,11 +86,6 @@ def main(argv=None) -> int:
         return 0
 
     entry = baseline["benches"].get(args.exp_id)
-    if args.history:
-        _append_history(args.history_file, args.exp_id, wall)
-        print(f"perf_guard: {args.exp_id}: {wall:.3f}s appended to "
-              f"{args.history_file}")
-
     if entry is None:
         print(f"perf_guard: {args.exp_id}: no committed baseline; "
               "run with --update to record one")
@@ -184,12 +94,6 @@ def main(argv=None) -> int:
     ref = float(entry["wall_seconds"])
     scale = float(os.environ.get("REPRO_PERF_SCALE", "") or 1.0)
     limit = ref * scale * args.factor
-
-    if args.history:
-        walls = _history_walls(args.history_file, args.exp_id)
-        return _trend_verdict(args.exp_id, walls, ref, limit,
-                              max(1, args.window))
-
     verdict = "OK" if wall <= limit else "FAIL"
     print(f"perf_guard: {args.exp_id}: {wall:.3f}s vs baseline "
           f"{ref:.3f}s (limit {limit:.3f}s = baseline"

@@ -75,12 +75,6 @@ def env_dir(name: str):
     return raw
 
 
-def _valid_url(raw: str) -> bool:
-    from urllib.parse import urlsplit
-    parts = urlsplit(raw)
-    return parts.scheme in ("http", "https") and bool(parts.hostname)
-
-
 def env_url(name: str):
     """An HTTP base-URL knob: unset/empty/``0`` -> ``None`` (off).
 
@@ -91,39 +85,16 @@ def env_url(name: str):
     instead of surfacing as a ``urllib`` traceback mid-experiment.
     Trailing slashes are stripped so path joins are uniform.
     """
+    from urllib.parse import urlsplit
     raw = os.environ.get(name, "")
     if raw in ("", "0"):
         return None
-    if not _valid_url(raw):
+    parts = urlsplit(raw)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(
             f"{name} must be unset, '0', or an http(s)://host[:port] "
             f"base URL, got {raw!r}")
     return raw.rstrip("/")
-
-
-def env_url_list(name: str):
-    """A comma-separated HTTP URL-list knob: unset/empty -> ``None``.
-
-    This is the shard-ring convention (``REPRO_SERVE_SHARDS``): the full
-    ordered list of server base URLs that split the fingerprint
-    keyspace.  Every element must be a well-formed URL and the list must
-    not contain duplicates (two shard slots at one address cannot both
-    own their hash range) — violations raise ``ValueError`` naming the
-    variable.
-    """
-    raw = os.environ.get(name, "")
-    if not raw:
-        return None
-    urls = tuple(part.strip().rstrip("/") for part in raw.split(","))
-    for url in urls:
-        if not _valid_url(url):
-            raise ValueError(
-                f"{name} must be a comma-separated list of "
-                f"http(s)://host[:port] base URLs, got element {url!r}")
-    if len(set(urls)) != len(urls):
-        raise ValueError(
-            f"{name} must not repeat an address, got {raw!r}")
-    return urls
 
 
 def env_flag(name: str, default: bool = False) -> bool:

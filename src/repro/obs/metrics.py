@@ -1,8 +1,8 @@
 """Dependency-free metrics: counters, gauges, fixed-bucket histograms.
 
 One :class:`MetricsRegistry` per owner (a serve :class:`Server` owns
-its own, so two in-process instances of a shard ring never merge their
-numbers), rendered on demand as Prometheus text exposition format for
+its own, so two servers in one process never merge their numbers),
+rendered on demand as Prometheus text exposition format for
 ``GET /metrics`` and as plain dicts for ``python -m repro.obs metrics``
 and the ``metrics`` section of ``job_end`` runlog records.
 

@@ -374,8 +374,7 @@ def collect_trace(trace_id: str,
     across every merged run under ``root``.
 
     One request may fan out over several runs (each serve batch is its
-    own run directory, and a shard ring produces one per shard), so the
-    scan is obs-root-wide, in ``(ts, pid, seq)`` order.  Raises
+    own run directory), so the scan is obs-root-wide, in ``(ts, pid, seq)`` order.  Raises
     ``ValueError`` when a prefix matches more than one trace.
     """
     matched: List[Dict[str, Any]] = []

@@ -9,10 +9,10 @@ async producer–consumer queue onto the existing process pool
 fingerprint, serves cached results directly from the two-level result
 cache, and streams per-job progress from the :mod:`repro.obs` runlog
 to any number of concurrent clients (:mod:`repro.serve.server`).
-N instances split the fingerprint keyspace by config-declared hash-mod
-sharding and survive restarts via the on-disk result-cache and
-checkpoint stores.  :mod:`repro.serve.client` is the matching thin
-client (``REPRO_SERVE_URL`` re-points experiment drivers at it).
+One instance runs the whole batch and survives restarts via the
+on-disk result-cache and checkpoint stores.  :mod:`repro.serve.client`
+is the matching thin client (``REPRO_SERVE_URL`` re-points experiment
+drivers at it).
 
 Served results are byte-identical to direct :class:`SimRunner` calls —
 the wire moves the same pickled :class:`JobResult` payloads the cache
@@ -27,13 +27,11 @@ and ``GET /v1/healthz`` is the cheap load-balancer subset.
 
 from .broker import BrokerStats, JobBroker
 from .client import ServeClient, ServeRunner, ServeUnavailable, serve_url
-from .server import Server, ServerThread, pick_free_port, serve_forever
-from .wire import (WIRE_VERSION, ShardMap, WireError, job_from_wire,
-                   job_to_wire, result_from_wire, result_to_wire,
-                   shard_of)
+from .server import Server, ServerThread
+from .wire import (WIRE_VERSION, WireError, job_from_wire, job_to_wire,
+                   result_from_wire, result_to_wire)
 
 __all__ = ["BrokerStats", "JobBroker", "ServeClient", "ServeRunner",
            "ServeUnavailable", "serve_url", "Server", "ServerThread",
-           "pick_free_port", "serve_forever", "WIRE_VERSION", "ShardMap",
-           "WireError", "job_from_wire", "job_to_wire",
-           "result_from_wire", "result_to_wire", "shard_of"]
+           "WIRE_VERSION", "WireError", "job_from_wire", "job_to_wire",
+           "result_from_wire", "result_to_wire"]

@@ -4,9 +4,6 @@
 
 * ``--host`` / ``--port`` — bind address (``REPRO_SERVE_PORT`` sets the
   default port; ``0`` asks the OS and prints the pick).
-* ``--shards a,b,...`` — the full shard ring (``REPRO_SERVE_SHARDS``
-  default).  This instance finds its slot by ``--shard-index``, or by
-  matching its own ``host:port`` against the ring.
 * ``--jobs`` — worker processes for this instance's ``SimRunner``.
 * ``--max-batch`` — queue drain bound per runner batch.
 
@@ -23,55 +20,25 @@ import asyncio
 import json
 import sys
 import time
-from typing import Optional
 
-from ..envknobs import env_int, env_url, env_url_list
+from ..envknobs import env_int, env_url
 from ..runner.runner import SimRunner
 from .broker import JobBroker
 from .client import ServeClient, ServeUnavailable
-from .server import Server, serve_forever
-from .wire import ShardMap
+from .server import Server
 
 #: Default port when neither --port nor REPRO_SERVE_PORT says otherwise.
 DEFAULT_PORT = 8023
 
 
-def _shard_map(args) -> Optional[ShardMap]:
-    urls = tuple(u.strip().rstrip("/")
-                 for u in args.shards.split(",")) if args.shards \
-        else (env_url_list("REPRO_SERVE_SHARDS") or ())
-    if not urls:
-        if args.shard_index is not None:
-            raise SystemExit(
-                "--shard-index given but no shard ring: pass --shards "
-                "or set REPRO_SERVE_SHARDS")
-        return None
-    index = args.shard_index
-    if index is None:
-        mine = {f"http://{args.host}:{args.port}",
-                f"https://{args.host}:{args.port}"}
-        matches = [i for i, u in enumerate(urls) if u in mine]
-        if len(matches) != 1:
-            raise SystemExit(
-                f"cannot infer this instance's shard slot: "
-                f"{args.host}:{args.port} matches {len(matches)} of "
-                f"{list(urls)}; pass --shard-index")
-        index = matches[0]
-    return ShardMap(urls=urls, index=index)
-
-
 def cmd_serve(args) -> int:
-    shard_map = _shard_map(args)
     runner = SimRunner(jobs=args.jobs)
     broker = JobBroker(runner=runner, max_batch=args.max_batch)
-    server = Server(broker, host=args.host, port=args.port,
-                    shard_map=shard_map)
+    server = Server(broker, host=args.host, port=args.port)
 
     async def main() -> None:
         await server.start()
-        shard = f" shard {shard_map.index}/{shard_map.count}" \
-            if shard_map else ""
-        print(f"repro.serve listening on {server.url}{shard} "
+        print(f"repro.serve listening on {server.url} "
               f"({runner.workers} worker(s), cache "
               f"{broker.cache.directory})", flush=True)
         try:
@@ -121,13 +88,6 @@ def main(argv=None) -> int:
                             minimum=0, maximum=65535),
             help=f"bind port (default: REPRO_SERVE_PORT or "
                  f"{DEFAULT_PORT}; 0 = OS-assigned)")
-        p.add_argument(
-            "--shards", default=None,
-            help="comma-separated shard ring base URLs "
-                 "(default: REPRO_SERVE_SHARDS)")
-        p.add_argument("--shard-index", type=int, default=None,
-                       help="this instance's slot in the ring "
-                            "(default: match host:port)")
         p.add_argument("--jobs", type=int, default=None,
                        help="SimRunner worker processes "
                             "(default: REPRO_JOBS / all cores)")

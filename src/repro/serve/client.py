@@ -1,17 +1,16 @@
 """The thin client: stdlib ``urllib`` against a serve instance.
 
-:class:`ServeClient` speaks the wire protocol (submit a batch, follow
-shard rejections to the owning instance, long-poll results, tail the
-SSE event stream); :class:`ServeRunner` wraps it in the
-:meth:`repro.runner.SimRunner.run` interface — same signature, same
-input-order/dedup semantics — so any experiment driver becomes a thin
-client by swapping its runner (``experiments.common.serve_runner()``
-does exactly that from ``REPRO_SERVE_URL``).
+:class:`ServeClient` speaks the wire protocol (submit a batch, long-poll
+results, tail the SSE event stream) to the one server it was given;
+:class:`ServeRunner` wraps it in the :meth:`repro.runner.SimRunner.run`
+interface — same signature, same input-order/dedup semantics — so any
+experiment driver becomes a thin client by swapping its runner
+(``experiments.common.serve_runner()`` does exactly that from
+``REPRO_SERVE_URL``).
 
 The client computes fingerprints locally from the real :class:`SimJob`
-objects it holds, so routing decisions (which shard owns which job) are
-made without a round trip, and the server's fingerprint verification
-closes the loop.
+objects it holds, so in-batch dedup needs no round trip, and the
+server's fingerprint verification closes the loop.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class ServeUnavailable(RuntimeError):
 
 
 class ServeClient:
-    """One logical endpoint (possibly a shard ring behind it)."""
+    """One serve instance, addressed by its base URL."""
 
     def __init__(self, base_url: str, timeout: float = 60.0,
                  poll_timeout: float = 20.0):
@@ -70,7 +69,7 @@ class ServeClient:
                     request, timeout=timeout or self.timeout) as response:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
-            # Structured errors (404/421/...) carry a JSON body worth
+            # Structured errors (400/404/...) carry a JSON body worth
             # keeping; re-raise with it attached.
             try:
                 payload = json.loads(exc.read().decode("utf-8"))
@@ -85,7 +84,7 @@ class ServeClient:
 
     def _get_raw(self, url: str, timeout: Optional[float] = None):
         """GET returning ``(status, json payload)`` without raising on
-        structured non-200s (long-polling needs 202/421 as data)."""
+        structured non-200s (long-polling needs 202 as data)."""
         request = urllib.request.Request(url)
         try:
             with urllib.request.urlopen(
@@ -107,8 +106,8 @@ class ServeClient:
         return self._request(f"{self.base_url}/healthz")
 
     def health(self) -> Dict[str, Any]:
-        """The ``/v1/healthz`` load-balancer view: shard identity,
-        queue depth, in-flight count, cache stats."""
+        """The ``/v1/healthz`` load-balancer view: queue depth,
+        in-flight count, cache stats."""
         return self._request(f"{self.base_url}/v1/healthz")
 
     def stats(self) -> Dict[str, Any]:
@@ -118,65 +117,41 @@ class ServeClient:
         """Run a batch through the service; results in input order.
 
         Mirrors :meth:`SimRunner.run`: duplicate fingerprints are
-        submitted once and fan back out.  Jobs rejected as out-of-shard
-        are re-posted to the owner the server named, and each result is
-        long-polled at the address that accepted its job.
+        submitted once and fan back out.  Every job is posted in one
+        batch and every result long-polled at ``base_url``; the client
+        never follows an address a server names.
 
         This is an outermost tracing entry point: one root context is
         minted per call (or inherited from an installed ambient one)
-        and sent with every job's wire envelope, so the whole batch —
-        across every shard it lands on — shares one trace_id
-        (``self.last_context`` keeps the handle).
+        and sent with every job's wire envelope, so the whole batch
+        shares one trace_id (``self.last_context`` keeps the handle).
         """
         self.last_context = obs_trace.ambient()
         fingerprints = [job.fingerprint() for job in jobs]
         unique: Dict[str, SimJob] = {}
         for job, fingerprint in zip(jobs, fingerprints):
             unique.setdefault(fingerprint, job)
-        owners = self._place(unique)
-        results = {fp: self._await_result(owners[fp], fp)
-                   for fp in unique}
+        self._place(unique)
+        results = {fp: self._await_result(fp) for fp in unique}
         return [results[fp] for fp in fingerprints]
 
-    def _place(self, unique: Dict[str, SimJob]) -> Dict[str, str]:
-        """Post every unique job until some instance accepts it;
-        returns fingerprint -> accepting base URL."""
+    def _place(self, unique: Dict[str, SimJob]) -> None:
+        """Post every unique job in one batch; a job the server did not
+        take (``invalid``, or any unknown status) raises WireError."""
         traceparent = self.last_context.to_traceparent() \
             if self.last_context is not None else None
-        owners: Dict[str, str] = {}
-        to_place = {self.base_url: list(unique.items())}
-        hops = 0
-        while to_place:
-            hops += 1
-            if hops > 16:  # a healthy ring settles in 2 hops
-                raise ServeUnavailable(
-                    "shard routing did not converge (rings disagree "
-                    "about ownership?)")
-            url, entries = to_place.popitem()
-            payload = {"wire": WIRE_VERSION,
-                       "jobs": [job_to_wire(job, traceparent)
-                                for _, job in entries]}
-            reply = self._request(f"{url}/v1/jobs", body=payload)
-            for (fingerprint, job), status in zip(entries,
-                                                  reply.get("jobs", [])):
-                state = status.get("status")
-                if state in ("accepted", "cached", "joined"):
-                    owners[fingerprint] = url
-                elif state == "rejected":
-                    owner = status.get("owner")
-                    if not owner:
-                        raise ServeUnavailable(
-                            f"job {fingerprint} rejected without an "
-                            f"owner address")
-                    to_place.setdefault(owner, []).append(
-                        (fingerprint, job))
-                else:
-                    raise WireError(
-                        f"server refused job {fingerprint}: "
-                        f"{status.get('error', state)}")
-        return owners
+        payload = {"wire": WIRE_VERSION,
+                   "jobs": [job_to_wire(job, traceparent)
+                            for job in unique.values()]}
+        reply = self._request(f"{self.base_url}/v1/jobs", body=payload)
+        for fingerprint, status in zip(unique, reply.get("jobs", [])):
+            state = status.get("status")
+            if state not in ("accepted", "cached", "joined"):
+                raise WireError(
+                    f"server refused job {fingerprint}: "
+                    f"{status.get('error', state)}")
 
-    def _await_result(self, url: str, fingerprint: str) -> JobResult:
+    def _await_result(self, fingerprint: str) -> JobResult:
         deadline = time.monotonic() + self.timeout
         while True:
             remaining = deadline - time.monotonic()
@@ -185,15 +160,13 @@ class ServeClient:
                     f"timed out waiting for result {fingerprint}")
             wait = min(self.poll_timeout, remaining)
             status, payload = self._get_raw(
-                f"{url}/v1/results/{fingerprint}?timeout={wait:g}",
+                f"{self.base_url}/v1/results/{fingerprint}"
+                f"?timeout={wait:g}",
                 timeout=wait + self.timeout)
             if status == 200:
                 return result_from_wire(payload)
             if status == 202:
                 continue  # still executing; poll again
-            if status == 421 and payload.get("owner"):
-                url = payload["owner"]  # ring moved underneath us
-                continue
             raise ServeUnavailable(
                 f"result {fingerprint}: HTTP {status} "
                 f"{payload.get('error', payload)}")

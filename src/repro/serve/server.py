@@ -5,19 +5,18 @@ A deliberately small HTTP/1.1 implementation over
 (``Connection: close``), JSON in and out — fronting a
 :class:`repro.serve.broker.JobBroker`:
 
-* ``GET  /healthz``                  — liveness + shard + wire version.
+* ``GET  /healthz``                  — liveness + wire version.
 * ``GET  /v1/stats``                 — broker/cache counters.
 * ``POST /v1/jobs``                  — submit a batch; per-job status
-  (``cached`` / ``accepted`` / ``joined`` / ``rejected`` + owner).
+  (``cached`` / ``accepted`` / ``joined``, or ``invalid`` + error).
 * ``GET  /v1/results/<fp>``          — long-poll one result
-  (``?timeout=<s>``); 200 result, 202 still pending, 404 unknown,
-  421 wrong shard (body names the owner).
+  (``?timeout=<s>``); 200 result, 202 still pending, 404 unknown.
 * ``GET  /v1/events``                — server-sent events tailing the
   ``repro.obs`` runlog (``?fingerprint=<fp>`` filters to one job);
   delivers ``job_start``/``job_end``/``prewarm``/``run_*`` records to
   any number of concurrent clients while batches execute.
 * ``GET  /v1/healthz``               — the load-balancer subset:
-  shard identity, queue depth, in-flight count, cache stats as JSON.
+  queue depth, in-flight count, cache stats as JSON.
 * ``GET  /metrics``                  — Prometheus text exposition of
   this instance's :class:`repro.obs.metrics.MetricsRegistry`: broker
   and cache counters are *pulled* from their already-monotone stats at
@@ -27,13 +26,9 @@ A deliberately small HTTP/1.1 implementation over
   Broker/cache series are instance-local; folded job series cover every
   run under the obs root this instance tails.
 
-Sharding: with a :class:`repro.serve.wire.ShardMap`, this instance owns
-a deterministic hash-mod slice of the fingerprint keyspace and rejects
-the rest, naming the owning address so clients re-route — the
-partitioning pattern (SNIPPETS.md Snippet 2) applied to a keyspace that
-was already content-addressed.  Restart needs no recovery protocol: all
-durable state lives in the result cache / checkpoint stores, so a fresh
-instance serves its predecessor's results from disk.
+Restart needs no recovery protocol: all durable state lives in the
+result cache / checkpoint stores, so a fresh instance serves its
+predecessor's results from disk.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-import socket
 from typing import Any, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -50,8 +44,7 @@ from ..obs import runlog as obs_runlog
 from ..obs import trace as obs_trace
 from ..version import __version__
 from .broker import JobBroker
-from .wire import (WIRE_VERSION, ShardMap, WireError, job_from_wire,
-                   result_to_wire)
+from .wire import WIRE_VERSION, WireError, job_from_wire, result_to_wire
 
 #: Events forwarded to ``/v1/events`` subscribers (the progress-relevant
 #: subset of the runlog taxonomy; unknown future kinds pass through the
@@ -71,16 +64,15 @@ _FINGERPRINT = re.compile(r"[0-9a-fA-F]{64}")
 
 
 class _HttpError(Exception):
-    def __init__(self, status: int, message: str,
-                 extra: Optional[Dict[str, Any]] = None):
+    def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
-        self.payload = {"error": message, **(extra or {})}
+        self.payload = {"error": message}
 
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            421: "Misdirected Request", 500: "Internal Server Error"}
+            500: "Internal Server Error"}
 
 
 class Server:
@@ -88,12 +80,10 @@ class Server:
 
     def __init__(self, broker: Optional[JobBroker] = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 shard_map: Optional[ShardMap] = None,
                  obs_root=None, poll_interval: float = 0.15):
         self.broker = broker if broker is not None else JobBroker()
         self.host = host
         self.port = port
-        self.shard_map = shard_map
         self.poll_interval = poll_interval
         self._tailer = obs_runlog.RunLogTailer(obs_root)
         self._subscribers: Set[Tuple[asyncio.Queue, Optional[str]]] = set()
@@ -110,7 +100,8 @@ class Server:
         Broker and cache series are pull collectors over counters their
         owners already maintain monotonically — no hot-path
         instrumentation, and each in-process ``Server`` reads *its own*
-        broker, so two instances of a test shard ring never merge.
+        broker, so two servers in one process (the restart test runs
+        a predecessor and its successor) never merge.
         """
         registry = obs_metrics.MetricsRegistry()
         broker = self.broker
@@ -381,15 +372,11 @@ class Server:
     def _describe(self) -> Dict[str, Any]:
         return {"status": "ok", "wire": WIRE_VERSION,
                 "version": __version__,
-                "shard": self.shard_map.describe()
-                if self.shard_map else None,
                 "workers": self.broker.runner.workers}
 
     def _health(self) -> Dict[str, Any]:
         """The load-balancer subset: cheap gauges, no histogram walk."""
         return {"status": "ok",
-                "shard": self.shard_map.describe()
-                if self.shard_map else None,
                 "queue_depth": self.broker.queue_depth,
                 "inflight": self.broker.inflight_count,
                 "cache": self.broker.cache.stats.snapshot(),
@@ -417,12 +404,6 @@ class Server:
                 statuses.append({"status": "invalid", "error": str(exc),
                                  "fingerprint": None})
                 continue
-            if self.shard_map is not None \
-                    and not self.shard_map.owns(fingerprint):
-                statuses.append({
-                    "status": "rejected", "fingerprint": fingerprint,
-                    "owner": self.shard_map.owner_of(fingerprint)})
-                continue
             # The optional traceparent envelope key: this hop runs as a
             # *child* span of the client's context, so the runlog shows
             # client -> server -> job causality.  Absent or malformed
@@ -445,11 +426,6 @@ class Server:
                              writer: asyncio.StreamWriter) -> None:
         if not _FINGERPRINT.fullmatch(fingerprint):
             raise _HttpError(400, "a fingerprint is 64 hex digits")
-        if self.shard_map is not None \
-                and not self.shard_map.owns(fingerprint):
-            raise _HttpError(
-                421, f"fingerprint {fingerprint} is not in this shard",
-                {"owner": self.shard_map.owner_of(fingerprint)})
         try:
             timeout = float(query.get("timeout", RESULT_WAIT))
         except ValueError:
@@ -493,30 +469,13 @@ class Server:
             self._subscribers.discard(subscription)
 
 
-def pick_free_port(host: str = "127.0.0.1") -> int:
-    """An OS-assigned free TCP port (tests and shard harnesses bind the
-    ring's addresses before any instance starts)."""
-    with socket.socket() as sock:
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
-
-
-async def serve_forever(server: Server) -> None:
-    """Run until cancelled (the ``python -m repro.serve`` main loop)."""
-    await server.start()
-    try:
-        await asyncio.Event().wait()
-    finally:
-        await server.stop()
-
-
 class ServerThread:
     """An in-process server on a background event loop.
 
-    The tests' two-instance shard harness and the CI smoke bench run
-    instances this way: same process, real sockets, no subprocess
-    plumbing.  ``start()`` blocks until the port is bound; ``stop()``
-    tears the loop down cleanly.
+    The tests run instances this way: same process, real sockets, no
+    subprocess plumbing.  ``start()`` blocks until the port is bound;
+    ``stop()`` tears the loop down and raises if the thread outlives
+    its timeout, so a hung shutdown never passes silently.
     """
 
     def __init__(self, server: Server):
@@ -574,5 +533,9 @@ class ServerThread:
 
         loop.call_soon_threadsafe(shutdown)
         thread.join(timeout)
+        if thread.is_alive():
+            raise RuntimeError(
+                f"server thread {thread.name!r} did not stop within "
+                f"{timeout:g}s")
         self._loop = None
         self._thread = None

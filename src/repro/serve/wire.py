@@ -17,12 +17,6 @@ numerically equal.  Unpickling executes arbitrary bytecode, so the
 client only ever talks to servers it trusts exactly as much as its own
 ``benchmarks/.simcache`` directory (the server is a loopback/LAN
 deployment of this same codebase, not a public endpoint).
-
-Sharding is part of the protocol: :class:`ShardMap` deterministically
-maps the fingerprint keyspace onto N server addresses (hash-mod over
-the leading fingerprint hex — the fingerprint is already a sha256, so
-the prefix is uniform), and both sides compute it, so a client can
-route up front and a server can prove ownership before executing.
 """
 
 from __future__ import annotations
@@ -31,8 +25,7 @@ import base64
 import dataclasses
 import hashlib
 import pickle
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..runner.jobs import SCHEMA_VERSION, JobResult, SimJob
 from ..runner.specs import PrefetcherSpec
@@ -43,10 +36,6 @@ from ..telemetry.config import TelemetryConfig
 #: shapes change; the job schema itself is versioned separately by
 #: ``repro.runner.jobs.SCHEMA_VERSION`` inside the canonical form).
 WIRE_VERSION = 1
-
-#: How many leading fingerprint hex digits the shard function consumes.
-#: 12 digits = 48 bits, far beyond any realistic shard count.
-_SHARD_PREFIX = 12
 
 
 class WireError(ValueError):
@@ -185,58 +174,3 @@ def result_from_wire(payload: Dict[str, Any]) -> JobResult:
             f"expected JobResult")
     return result
 
-
-# -- sharding ------------------------------------------------------------------
-
-def shard_of(fingerprint: str, count: int) -> int:
-    """Deterministic hash-mod shard index for one fingerprint."""
-    if count < 1:
-        raise ValueError("shard count must be >= 1")
-    return int(fingerprint[:_SHARD_PREFIX], 16) % count
-
-
-@dataclass(frozen=True)
-class ShardMap:
-    """The config-declared partition of the fingerprint keyspace.
-
-    ``urls`` is the full ordered ring of server base addresses (every
-    instance is launched with the same list, e.g. via
-    ``REPRO_SERVE_SHARDS``); ``index`` is this instance's slot.  A
-    single unsharded server is the one-entry ring.
-    """
-
-    urls: Tuple[str, ...]
-    index: int
-
-    def __post_init__(self) -> None:
-        if not self.urls:
-            raise ValueError("shard map needs at least one address")
-        if not 0 <= self.index < len(self.urls):
-            raise ValueError(
-                f"shard index {self.index} out of range for "
-                f"{len(self.urls)} shard(s)")
-
-    @property
-    def count(self) -> int:
-        return len(self.urls)
-
-    def owner_index(self, fingerprint: str) -> int:
-        return shard_of(fingerprint, self.count)
-
-    def owner_of(self, fingerprint: str) -> str:
-        return self.urls[self.owner_index(fingerprint)]
-
-    def owns(self, fingerprint: str) -> bool:
-        return self.owner_index(fingerprint) == self.index
-
-    def describe(self) -> Dict[str, Any]:
-        return {"index": self.index, "count": self.count,
-                "urls": list(self.urls)}
-
-
-def partition(fingerprints: List[str], count: int) -> Dict[int, List[str]]:
-    """Group fingerprints by owning shard (client-side routing helper)."""
-    groups: Dict[int, List[str]] = {}
-    for fp in fingerprints:
-        groups.setdefault(shard_of(fp, count), []).append(fp)
-    return groups

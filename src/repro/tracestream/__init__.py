@@ -1,8 +1,8 @@
 """Streaming out-of-core trace pipeline.
 
 Trace flow as composable generator stages over fixed-size columnar
-chunks, with in-band control metadata (checkpoint marks, warm/measure
-boundaries, telemetry flush points) riding the stream, plus a chunked
+chunks, with in-band control metadata (the engine's checkpoint
+progress marks) riding the stream, plus a chunked
 mmap-backed on-disk :class:`TraceStore` so paper-scale (100M+-access)
 traces generate once, persist, and replay in constant memory.
 
@@ -15,21 +15,17 @@ overrides the store root (default ``benchmarks/.traces``).
 store; ``python -m repro.store traces list|verify|gc`` maintains it.
 """
 
-from .chunk import (CHUNK_RECORDS, MARK_CKPT, MARK_TELEMETRY, MARK_WARM,
-                    Mark, StreamItem, TraceChunk, concat_chunks,
-                    make_chunk)
-from .stages import (bias, chunks_of, insert_marks, interleave,
-                     periodic_marks, rechunk, records, sample, shift,
-                     slice_stream, stream_length, to_trace)
+from .chunk import (CHUNK_RECORDS, MARK_CKPT, Mark, StreamItem,
+                    TraceChunk, concat_chunks, make_chunk)
+from .stages import (bias, chunks_of, insert_marks, rechunk, records,
+                     shift)
 from .store import (ENV_DIR, FORMAT_VERSION, StreamingTrace, TraceStore,
                     default_root, entry_key)
 
 __all__ = [
-    "CHUNK_RECORDS", "MARK_CKPT", "MARK_TELEMETRY", "MARK_WARM", "Mark",
+    "CHUNK_RECORDS", "MARK_CKPT", "Mark",
     "StreamItem", "TraceChunk", "concat_chunks", "make_chunk",
-    "bias", "chunks_of", "insert_marks", "interleave", "periodic_marks",
-    "rechunk", "records", "sample", "shift", "slice_stream",
-    "stream_length", "to_trace",
+    "bias", "chunks_of", "insert_marks", "rechunk", "records", "shift",
     "ENV_DIR", "FORMAT_VERSION", "StreamingTrace", "TraceStore",
     "default_root", "entry_key",
 ]

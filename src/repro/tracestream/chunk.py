@@ -3,9 +3,9 @@
 A *chunk stream* is the unit of flow in :mod:`repro.tracestream`: an
 iterator yielding :class:`TraceChunk` items (fixed-ish-size numpy
 struct-of-arrays slabs of trace records) interleaved with
-:class:`Mark` items (control metadata — checkpoint marks, warm/measure
-boundaries, telemetry flush points — that ride the stream *in band*
-without breaking it, after talkpipe's segment/bypass design).
+:class:`Mark` items (control metadata — the engine's checkpoint
+progress marks — that ride the stream *in band* without breaking it,
+after talkpipe's segment/bypass design).
 
 Transform stages operate on chunks and pass marks through untouched and
 in order; :func:`repro.tracestream.stages.insert_marks` splits chunks at
@@ -28,10 +28,9 @@ import numpy as np
 #: chunk (~22 bytes/record → ~1.4MB) keeps streaming memory trivial.
 CHUNK_RECORDS = 1 << 16
 
-#: Mark kinds used by the engine / harness (stages treat kinds opaquely).
-MARK_CKPT = "ckpt"            # periodic checkpoint progress mark
-MARK_WARM = "warm"            # warm-up → measure boundary
-MARK_TELEMETRY = "telemetry"  # telemetry flush point
+#: The engine's periodic checkpoint progress mark, the one mark kind
+#: in use (stages treat kinds opaquely).
+MARK_CKPT = "ckpt"
 
 
 class TraceChunk:

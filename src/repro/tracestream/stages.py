@@ -2,26 +2,23 @@
 
 Every stage takes an iterator of :class:`~repro.tracestream.chunk.StreamItem`
 (chunks interleaved with in-band :class:`Mark` items) and yields the
-same.  Data transforms (:func:`bias`, :func:`shift`, :func:`sample`,
-:func:`slice_stream`, :func:`interleave`) are pure chunk→chunk numpy
-ops; marks bypass them untouched and in order, so control metadata
-rides the stream without the stage knowing it exists (talkpipe's
-bypass design).  :func:`insert_marks` splits chunks at mark positions,
-which is what makes in-order pass-through position-exact.
+same.  Data transforms (:func:`bias`, :func:`shift`, :func:`rechunk`)
+are pure chunk→chunk numpy ops; marks bypass them untouched and in
+order, so control metadata rides the stream without the stage knowing
+it exists (talkpipe's bypass design).  :func:`insert_marks` splits
+chunks at mark positions, which is what makes in-order pass-through
+position-exact.
 
-The terminal stages are :func:`records` (flatten to the engine's
+The terminal stage is :func:`records` (flatten to the engine's
 ``(pc, addr, is_write, gap, dep)`` scalar tuples, firing a callback at
-each mark) and :func:`to_trace` (materialize an in-memory
-:class:`~repro.sim.trace.Trace`); :meth:`repro.tracestream.store.TraceStore.put`
-is the persistent sink.
+each mark); :meth:`repro.tracestream.store.TraceStore.put` is the
+persistent sink.
 """
 
 from __future__ import annotations
 
 from typing import (Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
-
-import numpy as np
 
 from .chunk import (CHUNK_RECORDS, Mark, StreamItem, TraceChunk,
                     concat_chunks)
@@ -78,76 +75,6 @@ def shift(stream: Iterable[StreamItem], pc_offset: int = 0,
                          addrs=c.addrs + addr_offset)
 
     return _map_chunks(stream, move)
-
-
-def sample(stream: Iterable[StreamItem], every: int) -> Iterator[StreamItem]:
-    """Keep every ``every``-th record (systematic sampling).
-
-    Phase is continuous across chunk boundaries: record ``i`` of the
-    input survives iff ``i % every == 0``.  Mark positions refer to the
-    *input* stream and are not rescaled.
-    """
-    if every < 1:
-        raise ValueError("sample interval must be >= 1")
-    seen = 0
-    for item in stream:
-        if not isinstance(item, TraceChunk):
-            yield item
-            continue
-        m = len(item)
-        first = (-seen) % every
-        seen += m
-        if first >= m:
-            continue
-        idx = np.arange(first, m, every)
-        yield TraceChunk(*(col[idx] for col in item))
-
-
-def slice_stream(stream: Iterable[StreamItem], start: int,
-                 stop: Optional[int] = None) -> Iterator[StreamItem]:
-    """Records ``start .. stop`` of the stream (like ``trace.slice``).
-
-    Marks inside the window pass through; marks outside are dropped.
-    """
-    pos = 0
-    for item in stream:
-        if not isinstance(item, TraceChunk):
-            if start <= item.position and (stop is None
-                                           or item.position <= stop):
-                yield item
-            continue
-        m = len(item)
-        lo, hi = pos, pos + m
-        pos = hi
-        take_lo = max(lo, start)
-        take_hi = hi if stop is None else min(hi, stop)
-        if take_lo < take_hi:
-            yield item.slice(take_lo - lo, take_hi - lo)
-        if stop is not None and pos >= stop:
-            break
-
-
-def interleave(streams: Sequence[Iterable[StreamItem]],
-               granularity: int = CHUNK_RECORDS) -> Iterator[StreamItem]:
-    """Round-robin merge: ``granularity`` records from each live stream.
-
-    Marks are emitted with their owning stream's slice.  Exhausted
-    streams drop out; the merge ends when all are dry.
-    """
-    rechunked = [iter(rechunk(s, granularity)) for s in streams]
-    live = list(rechunked)
-    while live:
-        nxt: List[Iterator[StreamItem]] = []
-        for it in live:
-            emitted_chunk = False
-            for item in it:
-                yield item
-                if isinstance(item, TraceChunk):
-                    emitted_chunk = True
-                    break
-            if emitted_chunk:
-                nxt.append(it)
-        live = nxt
 
 
 def rechunk(stream: Iterable[StreamItem],
@@ -220,20 +147,6 @@ def insert_marks(stream: Iterable[StreamItem], marks: Sequence[Mark],
         qi += 1
 
 
-def periodic_marks(start: int, every: int, limit: int,
-                   kind: str) -> List[Mark]:
-    """Periodic marks at ``start + k*every`` (k >= 1), up to ``limit``.
-
-    This is the in-band form of the engine's ``REPRO_CKPT_MARK``
-    cadence: the first mark fires after ``every`` records past
-    ``start`` (the warm-up boundary), the last at or before ``limit``.
-    """
-    if every < 1:
-        raise ValueError("mark interval must be >= 1")
-    return [Mark(kind, p)
-            for p in range(start + every, limit + 1, every)]
-
-
 # -- sinks ---------------------------------------------------------------------
 
 def records(stream: Iterable[StreamItem],
@@ -254,18 +167,3 @@ def records(stream: Iterable[StreamItem],
                        item.writes.tolist(), item.gaps.tolist(),
                        item.deps.tolist())
 
-
-def to_trace(name: str, stream: Iterable[StreamItem]):
-    """Materialize a (mark-free view of a) stream as an in-memory Trace."""
-    from ..sim.trace import Trace
-
-    chunks = [item for item in stream if isinstance(item, TraceChunk)]
-    merged = concat_chunks(chunks)
-    return Trace(name, merged.pcs, merged.addrs, merged.writes,
-                 merged.gaps, merged.deps)
-
-
-def stream_length(stream: Iterable[StreamItem]) -> int:
-    """Total records in a stream (consumes it)."""
-    return sum(len(item) for item in stream
-               if isinstance(item, TraceChunk))

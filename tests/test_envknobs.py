@@ -2,15 +2,21 @@
 
 The helpers there validate every value the same way (a junk value
 raises naming the variable); a module reading ``os.environ`` itself
-would bypass that, so no module but ``envknobs.py`` may.
+would bypass that, so no module but ``envknobs.py`` may.  The bench
+scripts size their runs through the same ``REPRO_N``/``REPRO_QUICK``
+helpers as ``repro.experiments``.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import pathlib
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+BENCHMARKS = SRC.parents[1] / "benchmarks"
 ENVIRON = ("environ", "environb", "getenv", "getenvb")
 
 
@@ -41,3 +47,38 @@ def test_the_scan_sees_environment_reads(tmp_path):
     probe.write_text("import os\nfrom os import getenv\n"
                      "x = os.environ.get('REPRO_X')\n")
     assert list(_environ_reads(probe)) == [2, 3]
+
+
+#: Each bench script's sizing helper and the knobs it reads.
+BENCH_SIZING = (
+    ("bench_checkpoint.py", "_jobs", ("REPRO_N",)),
+    ("bench_checkpoint.py", "_speedup_floor", ("REPRO_N", "REPRO_QUICK")),
+    ("bench_sampling.py", "_validation_grid", ("REPRO_QUICK",)),
+    ("bench_tracestream.py", "_n", ("REPRO_N", "REPRO_QUICK")),
+    ("bench_telemetry_overhead.py", "_jobs", ("REPRO_N",)),
+    ("bench_obs_overhead.py", "_job", ("REPRO_N",)),
+)
+
+#: A value each knob's shared parser rejects.
+JUNK = {"REPRO_N": "0", "REPRO_QUICK": "yes"}
+
+
+def _load_bench(script: str):
+    spec = importlib.util.spec_from_file_location(
+        f"{script[:-3]}_under_test", BENCHMARKS / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("script, helper, knob", [
+    (script, helper, knob)
+    for script, helper, knobs in BENCH_SIZING for knob in knobs])
+def test_bench_sizing_rejects_junk_knobs(monkeypatch, script, helper,
+                                         knob):
+    monkeypatch.delenv("REPRO_N", raising=False)
+    monkeypatch.delenv("REPRO_QUICK", raising=False)
+    monkeypatch.setenv(knob, JUNK[knob])
+    sizing = getattr(_load_bench(script), helper)
+    with pytest.raises(ValueError, match=knob):
+        sizing()

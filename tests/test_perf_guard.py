@@ -1,10 +1,4 @@
-"""The CI perf guard: single-run baseline compare and trend mode.
-
-Trend mode's contract is the interesting part: one noisy CI run must
-never fail the job, while a sustained regression (the injected 40%
-slowdown below) must — the verdict is the median of the trailing
-window, not the latest sample.
-"""
+"""The CI perf guard: one run's wall time against the committed baseline."""
 
 from __future__ import annotations
 
@@ -44,11 +38,6 @@ def _record(pg, wall: float) -> None:
         json.dumps({"wall_seconds": wall}))
 
 
-def _history(pg, hist: pathlib.Path, wall: float) -> int:
-    _record(pg, wall)
-    return pg.main(["fig9", "--history", "--history-file", str(hist)])
-
-
 class TestSingleRunMode:
     def test_regression_fails_and_ok_passes(self, guard):
         _record(guard, 1.2)
@@ -61,64 +50,3 @@ class TestSingleRunMode:
         _record(guard, 99.0)
         assert guard.main(["fig9"]) == 0
 
-
-class TestTrendMode:
-    def test_appends_and_defers_until_window_fills(self, guard,
-                                                   tmp_path, capsys):
-        hist = tmp_path / "perf_history.jsonl"
-        for i in range(3):
-            assert _history(guard, hist, 1.0) == 0
-        lines = hist.read_text().splitlines()
-        assert len(lines) == 3
-        record = json.loads(lines[0])
-        assert record["exp_id"] == "fig9"
-        assert record["wall_seconds"] == 1.0
-        assert record["ts"] > 0
-        assert "deferred" in capsys.readouterr().out
-
-    def test_single_noisy_run_is_tolerated(self, guard, tmp_path):
-        hist = tmp_path / "perf_history.jsonl"
-        for _ in range(4):
-            assert _history(guard, hist, 1.0) == 0
-        # The same 2x sample fails single-run mode but not the trend:
-        # the median of [1.0, 1.0, 1.0, 1.0, 2.0] is healthy.
-        _record(guard, 2.0)
-        assert guard.main(["fig9"]) == 1
-        assert _history(guard, hist, 2.0) == 0
-
-    def test_sustained_regression_is_flagged(self, guard, tmp_path,
-                                             capsys):
-        hist = tmp_path / "perf_history.jsonl"
-        # An injected 40% regression, persisting across a full window.
-        codes = [_history(guard, hist, 1.4) for _ in range(5)]
-        assert codes[:4] == [0, 0, 0, 0]  # deferred while filling
-        assert codes[4] == 1
-        assert "sustained regression" in capsys.readouterr().out
-
-    def test_recovery_clears_the_verdict(self, guard, tmp_path):
-        hist = tmp_path / "perf_history.jsonl"
-        for _ in range(5):
-            _history(guard, hist, 1.4)
-        # Three healthy runs flip the median of the trailing 5 back.
-        assert _history(guard, hist, 1.0) == 1
-        assert _history(guard, hist, 1.0) == 1
-        assert _history(guard, hist, 1.0) == 0
-
-    def test_malformed_history_lines_are_skipped(self, guard, tmp_path):
-        hist = tmp_path / "perf_history.jsonl"
-        hist.write_text('not json\n{"exp_id": "fig9"}\n')
-        for _ in range(4):
-            assert _history(guard, hist, 1.0) == 0
-        assert _history(guard, hist, 1.0) == 0  # window of 5 clean rows
-
-    def test_no_baseline_still_appends(self, guard, tmp_path):
-        guard.BASELINE.write_text(json.dumps({"benches": {}}))
-        hist = tmp_path / "perf_history.jsonl"
-        assert _history(guard, hist, 1.0) == 0
-        assert len(hist.read_text().splitlines()) == 1
-
-    def test_window_flag(self, guard, tmp_path):
-        hist = tmp_path / "perf_history.jsonl"
-        _record(guard, 1.4)
-        assert guard.main(["fig9", "--history", "--history-file",
-                           str(hist), "--window", "1"]) == 1

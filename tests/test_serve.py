@@ -1,16 +1,17 @@
-"""The serve subsystem: wire protocol, sharding, dedup, byte-identity.
+"""The serve subsystem: wire protocol, dedup, byte-identity, restart.
 
 The headline acceptance criteria live here: a 3-workload x 2-prefetcher
-matrix submitted through the HTTP job server (including a two-instance
-sharded ring) comes back *byte-identical* — equal pickles, not merely
-equal numbers — to a direct :class:`SimRunner` call; cache-hit replies,
-in-flight dedup (one execution for two concurrent identical
-submissions), and per-job progress streaming to two concurrent clients
-are all pinned; and with the knobs unset nothing routes anywhere.
+matrix submitted through the HTTP job server comes back
+*byte-identical* — equal pickles, not merely equal numbers — to a
+direct :class:`SimRunner` call; cache-hit replies, in-flight dedup (one
+execution for two concurrent identical submissions), restart survival,
+and per-job progress streaming to two concurrent clients are all
+pinned; and with the knobs unset nothing routes anywhere.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import pickle
 import threading
@@ -27,9 +28,8 @@ from repro.obs import runlog as obs_runlog
 from repro.obs import trace as obs_trace
 from repro.runner import JobResult, ResultCache, SimJob, SimRunner, spec
 from repro.serve import (JobBroker, ServeClient, Server, ServerThread,
-                         ShardMap, WireError, job_from_wire, job_to_wire,
-                         pick_free_port, result_from_wire, result_to_wire,
-                         shard_of)
+                         WireError, job_from_wire, job_to_wire,
+                         result_from_wire, result_to_wire)
 from repro.telemetry import TelemetryConfig
 
 TINY_N = 2000
@@ -59,12 +59,10 @@ def _mem_runner() -> SimRunner:
 
 
 def _server(runner: Optional[SimRunner] = None,
-            shard_map: Optional[ShardMap] = None,
-            port: int = 0, obs_root=None) -> ServerThread:
+            obs_root=None) -> ServerThread:
     broker = JobBroker(runner=runner if runner is not None
                        else _mem_runner())
-    return ServerThread(Server(broker, port=port, shard_map=shard_map,
-                               obs_root=obs_root,
+    return ServerThread(Server(broker, obs_root=obs_root,
                                poll_interval=0.05)).start()
 
 
@@ -129,31 +127,6 @@ class TestWire:
         payload["sha256"] = "0" * 64
         with pytest.raises(WireError, match="sha256"):
             result_from_wire(payload)
-
-
-# -- sharding ------------------------------------------------------------------
-
-class TestSharding:
-    def test_shard_of_is_deterministic_and_in_range(self):
-        fingerprints = [job.fingerprint() for job in _matrix_jobs()]
-        for fp in fingerprints:
-            assert shard_of(fp, 2) == shard_of(fp, 2)
-            assert 0 <= shard_of(fp, 2) < 2
-            assert shard_of(fp, 1) == 0
-
-    def test_shard_map_partitions_exclusively(self):
-        ring = ShardMap(urls=("http://a:1", "http://b:2"), index=0)
-        other = ShardMap(urls=ring.urls, index=1)
-        for job in _matrix_jobs():
-            fp = job.fingerprint()
-            assert ring.owns(fp) != other.owns(fp)
-            assert ring.owner_of(fp) in ring.urls
-
-    def test_shard_map_validation(self):
-        with pytest.raises(ValueError):
-            ShardMap(urls=(), index=0)
-        with pytest.raises(ValueError):
-            ShardMap(urls=("http://a:1",), index=1)
 
 
 # -- single instance end to end ------------------------------------------------
@@ -292,55 +265,6 @@ class TestInflightDedup:
             thread.stop()
 
 
-# -- two-instance sharded ring -------------------------------------------------
-
-class TestShardedRing:
-    def test_two_instance_ring_is_byte_identical_to_direct(self):
-        jobs = _matrix_jobs()
-        direct = _direct(jobs)
-        fingerprints = [job.fingerprint() for job in jobs]
-        ports = (pick_free_port(), pick_free_port())
-        urls = tuple(f"http://127.0.0.1:{p}" for p in ports)
-        threads = [
-            _server(shard_map=ShardMap(urls=urls, index=i), port=ports[i])
-            for i in range(2)]
-        try:
-            # Everything goes to instance 0; out-of-shard jobs bounce to
-            # instance 1 via the owner address in the rejection.
-            client = ServeClient(urls[0])
-            served = client.submit(jobs)
-            assert _bytes(served) == _bytes(direct)
-            split = [sum(1 for fp in set(fingerprints)
-                         if shard_of(fp, 2) == i) for i in range(2)]
-            assert sum(split) == len(set(fingerprints))
-            for i, thread in enumerate(threads):
-                stats = ServeClient(urls[i]).stats()["broker"]
-                assert stats["executed"] == split[i], \
-                    f"instance {i} executed out-of-shard work"
-            # The matrix hashes onto both instances (deterministic).
-            assert all(count > 0 for count in split)
-        finally:
-            for thread in threads:
-                thread.stop()
-
-    def test_out_of_shard_result_names_owner(self):
-        job = _matrix_jobs()[0]
-        fp = job.fingerprint()
-        ports = (pick_free_port(), pick_free_port())
-        urls = tuple(f"http://127.0.0.1:{p}" for p in ports)
-        wrong = 1 - shard_of(fp, 2)
-        thread = _server(shard_map=ShardMap(urls=urls, index=wrong),
-                         port=ports[wrong])
-        try:
-            client = ServeClient(urls[wrong])
-            status, payload = client._get_raw(
-                f"{urls[wrong]}/v1/results/{fp}?timeout=0")
-            assert status == 421
-            assert payload["owner"] == urls[shard_of(fp, 2)]
-        finally:
-            thread.stop()
-
-
 # -- restart survival ----------------------------------------------------------
 
 class TestRestart:
@@ -370,6 +294,34 @@ class TestRestart:
             assert stats["broker"]["cache_hits"] == len(jobs)
         finally:
             second.stop()
+
+
+# -- in-process harness --------------------------------------------------------
+
+class TestServerThread:
+    def test_stop_raises_when_the_thread_outlives_its_timeout(self):
+        thread = _server()
+        hung = thread._thread
+        real_stop = thread.server.stop
+        release = threading.Event()
+
+        async def stuck_stop() -> None:
+            while not release.is_set():
+                await asyncio.sleep(0.01)
+            await real_stop()
+
+        thread.server.stop = stuck_stop  # type: ignore[method-assign]
+        try:
+            with pytest.raises(RuntimeError, match=(
+                    r"server thread 'repro-serve' did not stop "
+                    r"within 0\.3s")):
+                thread.stop(timeout=0.3)
+            # The hung thread stays tracked rather than forgotten.
+            assert thread._thread is hung and hung.is_alive()
+        finally:
+            release.set()
+            hung.join(timeout=10.0)
+        assert not hung.is_alive()
 
 
 # -- progress streaming --------------------------------------------------------
@@ -476,21 +428,6 @@ class TestServeKnobs:
         assert env_int("REPRO_SERVE_PORT", 8023,
                        minimum=0, maximum=65535) == 8024
 
-    def test_serve_shards_validated_loudly(self, monkeypatch):
-        from repro.envknobs import env_url_list
-        monkeypatch.setenv("REPRO_SERVE_SHARDS", "http://a:1,junk")
-        with pytest.raises(ValueError, match="REPRO_SERVE_SHARDS"):
-            env_url_list("REPRO_SERVE_SHARDS")
-        monkeypatch.setenv("REPRO_SERVE_SHARDS", "http://a:1,http://a:1")
-        with pytest.raises(ValueError, match="REPRO_SERVE_SHARDS"):
-            env_url_list("REPRO_SERVE_SHARDS")
-        monkeypatch.setenv("REPRO_SERVE_SHARDS",
-                           "http://a:1, http://b:2/")
-        assert env_url_list("REPRO_SERVE_SHARDS") == \
-            ("http://a:1", "http://b:2")
-        monkeypatch.delenv("REPRO_SERVE_SHARDS")
-        assert env_url_list("REPRO_SERVE_SHARDS") is None
-
 
 # -- observability plane: /metrics, /v1/healthz, trace propagation -------------
 
@@ -512,12 +449,16 @@ class TestObservabilityPlane:
     def test_v1_healthz(self):
         thread = _server()
         try:
-            health = ServeClient(thread.url).health()
+            client = ServeClient(thread.url)
+            health = client.health()
             assert health["status"] == "ok"
             assert health["queue_depth"] == 0
             assert health["inflight"] == 0
             assert health["subscribers"] == 0
             assert "memo_hits" in health["cache"]
+            # One instance: neither health view names a shard.
+            assert "shard" not in health
+            assert "shard" not in client.healthz()
         finally:
             thread.stop()
 
@@ -596,34 +537,25 @@ class TestObservabilityPlane:
         finally:
             thread.stop()
 
-    def test_trace_reconstructs_across_two_shard_ring(self, tmp_path,
-                                                      monkeypatch):
+    def test_trace_reconstructs_across_batches(self, tmp_path,
+                                               monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "1")
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        jobs = _matrix_jobs()
+        jobs = _matrix_jobs()[:4]
         fingerprints = {job.fingerprint() for job in jobs}
-        ports = (pick_free_port(), pick_free_port())
-        urls = tuple(f"http://127.0.0.1:{p}" for p in ports)
-        threads = [
-            _server(shard_map=ShardMap(urls=urls, index=i),
-                    port=ports[i], obs_root=tmp_path / "obs")
-            for i in range(2)]
+        thread = _server(obs_root=tmp_path / "obs")
         try:
             # One ambient root spans the whole request; the client
-            # inherits it instead of minting per-submit roots.  The
-            # shard groups go out one at a time because this in-process
-            # ring shares the per-process runlog writer — production
-            # rings are separate processes and run concurrently.
+            # inherits it instead of minting per-submit roots.  Each
+            # submit waits for its results, so the two groups run as
+            # two broker batches, and every batch is its own
+            # SimRunner.run with its own run log.
             root = obs_trace.new_context()
             previous = obs_trace.install(root)
             try:
-                by_shard: Dict[int, List[SimJob]] = {0: [], 1: []}
-                for job in jobs:
-                    by_shard[shard_of(job.fingerprint(), 2)].append(job)
-                assert all(by_shard.values())  # the matrix spans both
-                for index, group in sorted(by_shard.items()):
-                    client = ServeClient(urls[index], timeout=120.0)
+                client = ServeClient(thread.url, timeout=120.0)
+                for group in (jobs[:2], jobs[2:]):
                     client.submit(group)
                     assert client.last_context is root
             finally:
@@ -632,7 +564,7 @@ class TestObservabilityPlane:
             collected = obs_report.collect_trace(trace_id,
                                                  root=tmp_path / "obs")
             assert collected
-            # One trace id across both instances' runs.
+            # One trace id across both batches' runs.
             assert {r["trace_id"] for r in collected} == {trace_id}
             assert {r["trace_id"] for r in
                     _obs_records(tmp_path / "obs")} == {trace_id}
@@ -646,8 +578,7 @@ class TestObservabilityPlane:
             assert payload["records"] == len(collected)
             assert len(payload["runs"]) >= 2
         finally:
-            for thread in threads:
-                thread.stop()
+            thread.stop()
 
     def test_plane_off_is_bit_identical_and_unexposed(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "0")

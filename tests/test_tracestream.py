@@ -29,7 +29,7 @@ from repro.runner import traces as runner_traces
 from repro.runner.specs import spec
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine, run_single
-from repro.sim.trace import Trace, TraceSource
+from repro.sim.trace import TraceSource
 from repro.store import StoreCorrupt
 from repro.telemetry import TelemetryConfig
 from repro.tracestream import chunk as tschunk
@@ -120,29 +120,6 @@ class TestStages:
         want = (ramp_chunk(300).addrs & mask) | (core << region_bits)
         assert np.array_equal(addrs, want)
 
-    def test_sample_phase_survives_chunk_boundaries(self):
-        # Record i survives iff i % every == 0 regardless of chunking.
-        for sizes in ([50, 50, 50], [1] * 150, [149, 1]):
-            addrs = flat_addrs(stages.sample(ramp_stream(150, sizes), 7))
-            assert np.array_equal(addrs, ramp_chunk(150).addrs[::7])
-
-    def test_slice_stream_matches_trace_slice(self):
-        trace = make("06.mcf", 2000, 7)
-        want = trace.slice(300, 1500).addrs
-        got = flat_addrs(stages.slice_stream(
-            stages.chunks_of(trace, size=512), 300, 1500))
-        assert np.array_equal(got, want)
-
-    def test_interleave_round_robin(self):
-        a = [ramp_chunk(6)]
-        b = [ramp_chunk(20, base=100)]
-        out = [item.addrs.tolist() for item in
-               stages.interleave([iter(a), iter(b)], granularity=8)]
-        # a is exhausted after its first (partial) turn; b continues.
-        assert out[0] == ramp_chunk(6).addrs.tolist()
-        assert len(out[1]) == 8 and out[1][0] == 6400
-        assert sum(len(x) for x in out) == 26
-
     def test_rechunk_normalizes_and_flushes_on_marks(self):
         mark = Mark(MARK_CKPT, 5)
         items = [ramp_chunk(3), mark, ramp_chunk(10, base=3)]
@@ -183,17 +160,6 @@ class TestStages:
             seen += 1
         assert fired == [(Mark(MARK_CKPT, 13), 13)]
         assert seen == 20
-
-    def test_periodic_marks_cadence_and_validation(self):
-        got = stages.periodic_marks(100, 50, 260, MARK_CKPT)
-        assert [m.position for m in got] == [150, 200, 250]
-        with pytest.raises(ValueError):
-            stages.periodic_marks(0, 0, 10, MARK_CKPT)
-
-    def test_to_trace_and_stream_length(self):
-        t = stages.to_trace("r", ramp_stream(30, [16, 16]))
-        assert isinstance(t, Trace) and len(t) == 30
-        assert stages.stream_length(ramp_stream(30, [16, 16])) == 30
 
 
 # -- on-disk store ---------------------------------------------------------
