@@ -43,8 +43,8 @@ def env_tristate(name: str):
 
     Unset, empty, and ``auto`` all mean "defer"; ``0``/``1`` force the
     knob off/on; anything else raises ``ValueError`` naming the
-    variable.  ``REPRO_PROGRESS``, ``REPRO_SAMPLING``, ``REPRO_TRACE``
-    and ``REPRO_METRICS`` use it.
+    variable.  ``REPRO_PROGRESS``, ``REPRO_TRACE`` and
+    ``REPRO_METRICS`` use it.
     """
     raw = os.environ.get(name, "")
     if raw in ("", "auto"):

@@ -28,8 +28,8 @@ from ..obs import profile as obs_profile
 from ..tracestream.store import StreamingTrace, TraceStore, default_root
 from ..workloads import make_chunks
 
-#: Open handles (mmap-backed; a handle is a header plus a tiny chunk
-#: cache, so these are never evicted within a process).
+#: Open handles (a handle is its header and maps chunk files only while
+#: a read holds them, so these are never evicted within a process).
 _handles: Dict[Tuple[str, int, int], StreamingTrace] = {}
 _store: Optional[TraceStore] = None
 

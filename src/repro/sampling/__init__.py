@@ -25,14 +25,12 @@ cheap by simulating only *representative* intervals:
 / ``report``; ``validate`` runs sampled-vs-full and asserts every
 observed error is inside its declared bound.
 
+Sampling runs only where an experiment asks for it (``fig9s``);
+windowed jobs key their *own* cache entries via ``SimJob.window``, so a
+sampled estimate can never impersonate a full run's cached result.
+
 Knobs (validated; errors name the variable):
 
-* ``REPRO_SAMPLING`` — tri-state: unset/``auto`` defers to the
-  caller's default (off everywhere except the sampled ``fig9s``
-  experiment), ``0``/``1`` force it.  Never enters
-  job fingerprints: windowed jobs key their *own* cache entries via
-  ``SimJob.window``, so a sampled estimate can never impersonate a
-  full run's cached result.
 * ``REPRO_SAMPLING_DIR`` — plan-store root (default
   ``benchmarks/.splans``).
 * ``REPRO_SAMPLING_K`` — override the number of representatives.
@@ -45,7 +43,7 @@ from .execute import (METRIC_FLOORS, METRICS, SampledEstimate, combine,
                       run_sampled, sampled_jobs, validate_sampling)
 from .features import (FEATURE_NAMES, FEATURE_SCHEMA_VERSION,
                        FeatureMatrix, extract_features)
-from .knobs import sampling_enabled, sampling_k
+from .knobs import sampling_k
 from .plan import (DEFAULT_ERROR_BOUNDS, PlanStore, Representative,
                    SamplingPlan, build_plan, default_interval, default_k,
                    get_plan)
@@ -59,5 +57,5 @@ __all__ = [
     "get_plan",
     "METRICS", "METRIC_FLOORS", "SampledEstimate", "combine",
     "run_sampled", "sampled_jobs", "validate_sampling",
-    "sampling_enabled", "sampling_k",
+    "sampling_k",
 ]

@@ -8,21 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..envknobs import env_int, env_tristate
-
-
-def sampling_enabled(default: bool = False) -> bool:
-    """Resolve the ``REPRO_SAMPLING`` tri-state against a caller default.
-
-    Experiments that are *about* sampling (``fig9s``) pass
-    ``default=True``; everything else defaults off, keeping default
-    outputs bit-identical to a world without this subsystem.  The knob
-    never enters job fingerprints: sampling is *not* bit-identical, so
-    it selects which jobs are submitted (windowed ones, keyed by
-    ``SimJob.window``) rather than how one job executes.
-    """
-    env = env_tristate("REPRO_SAMPLING")
-    return bool(env) if env is not None else default
+from ..envknobs import env_int
 
 
 def sampling_k(default: Optional[int] = None) -> Optional[int]:

@@ -6,7 +6,7 @@ from .engine import (CoreModel, Engine, build_core, build_uncore,
 from .multicore import MulticoreResult, build_multicore, run_multicore
 from .stats import (PrefetchReport, SimResult, format_table, geomean,
                     geomean_speedup, mean_accuracy, mean_coverage, speedup)
-from .trace import Trace, TraceBuilder, TraceRecord
+from .trace import Trace, TraceBuilder
 
 __all__ = [
     "CHANNELS_BY_CORES", "DEFAULT_CONFIG", "SystemConfig",
@@ -15,5 +15,5 @@ __all__ = [
     "MulticoreResult", "build_multicore", "run_multicore",
     "PrefetchReport", "SimResult", "format_table", "geomean",
     "geomean_speedup", "mean_accuracy", "mean_coverage", "speedup",
-    "Trace", "TraceBuilder", "TraceRecord",
+    "Trace", "TraceBuilder",
 ]

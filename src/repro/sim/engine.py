@@ -16,16 +16,16 @@ accesses in an order consistent with the per-core clocks.
 front-ends over the same build/step/collect code.
 
 The engine owns warm-up handling: statistics are reset after the warm-up
-fraction so every reported number describes steady state.
+fraction so every reported number describes steady state.  Every core
+reads its records through ``TraceSource.iter_from``, and progress marks
+fire from one step counter.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from itertools import islice
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..memory.cache import Cache
 from ..memory.dram import DRAM
@@ -34,17 +34,12 @@ from ..memory.hierarchy import CoreHierarchy, SharedUncore
 from ..obs import profile as obs_profile
 from ..prefetchers.base import Prefetcher
 from ..telemetry import TelemetryHarness
-from ..tracestream.chunk import MARK_CKPT, Mark
-from ..tracestream.stages import chunks_of, insert_marks
-from ..tracestream.stages import records as stream_records
+from ..tracestream.chunk import Record
 from .config import SystemConfig
 from .stats import PrefetchReport, SimResult
 from .trace import TraceSource
 
 PrefetcherFactory = Callable[[], Prefetcher]
-
-#: One trace record: (pc, addr, is_write, gap, dep).
-Record = Tuple[int, int, bool, int, bool]
 
 
 class CoreModel:
@@ -208,14 +203,8 @@ class Engine:
                  config: Optional[SystemConfig] = None,
                  l1_prefetcher: Optional[PrefetcherFactory] = None,
                  l2_prefetchers: Sequence[PrefetcherFactory] = (),
-                 streams: Optional[Sequence[Iterable[Record]]] = None,
                  warmup_counts: Optional[Sequence[int]] = None):
-        """``streams`` optionally overrides each core's record stream
-        (the multicore front-end passes region-biased views of the
-        traces); warm-up lengths and workload names still come from
-        ``traces``.
-
-        ``warmup_counts`` overrides the per-core warm-up boundary in
+        """``warmup_counts`` overrides the per-core warm-up boundary in
         *records* (instead of ``len(trace) * config.warmup_fraction``).
         Windowed simulations (:mod:`repro.sampling`) use it to warm up
         over exactly the bounded prefix preceding a representative
@@ -239,9 +228,6 @@ class Engine:
                                  l2_prefetchers, profiler=self._prof)
                       for i in range(num_cores)]
         self.models = [CoreModel(config) for _ in range(num_cores)]
-        if streams is not None and len(streams) != num_cores:
-            raise ValueError("need one record stream per trace")
-        self._streams = streams
         if warmup_counts is not None:
             if len(warmup_counts) != num_cores:
                 raise ValueError("need one warm-up count per trace")
@@ -324,9 +310,7 @@ class Engine:
         if self._started:
             return
         self._started = True
-        self._iters = [
-            iter(s) for s in (self._streams if self._streams is not None
-                              else self.traces)]
+        self._iters = [iter(t) for t in self.traces]
         self._warmups = list(self._warmup_counts) \
             if self._warmup_counts is not None \
             else [int(len(t) * self.config.warmup_fraction)
@@ -338,7 +322,7 @@ class Engine:
         self._heap = [(0.0, i) for i in range(self.num_cores)]
         heapq.heapify(self._heap)
 
-    def _drive(self, until_warm: bool, inband: bool = False) -> None:
+    def _drive(self, until_warm: bool) -> None:
         """The stepping loop: one trace record at a time on the
         furthest-behind core, until every stream is exhausted — or, with
         ``until_warm``, until every core has crossed its warm-up boundary.
@@ -346,17 +330,22 @@ class Engine:
         Between records each heap entry equals its core's current local
         clock, which is what makes a snapshot taken there (the warm-up
         boundary, a progress mark) restorable: the heap can be rebuilt
-        from the model clocks alone.  In the measured region a set mark
-        hook fires every ``_mark_every`` records, unless the marks ride
-        the record stream (``inband``).
+        from the model clocks alone.
+
+        The measured region is only ever entered from a warm-up drive,
+        so ``_measured_steps`` never counts the boundary step.  A set
+        mark hook fires after measured step ``k*every - 1``: the
+        boundary record opens the first interval, which puts a
+        single-core mark after record ``warm - 1 + k*every``.
         """
         heap = self._heap
         iters, models, cores = self._iters, self.models, self.cores
         counts, warmups = self._counts, self._warmups
         warm_marks = self._warm_marks
         num_cores = self.num_cores
-        every = 0 if until_warm else self._mark_every
-        hook = None if inband else self._on_mark
+        hook = self._on_mark
+        every = self._mark_every if self.warmed and not until_warm else 0
+        last = every - 1
         heappop, heappush = heapq.heappop, heapq.heappush
         while heap:
             if until_warm and self._warmed == num_cores:
@@ -375,11 +364,9 @@ class Engine:
             if counts[i] == warmups[i] and warm_marks[i] is None:
                 self._cross_warmup(i)
             heappush(heap, (model.clock, i))
-            if every and self._warmed == num_cores:
-                # Counted for in-band marks too: measured_steps is part
-                # of the snapshot.
-                self._measured_steps += 1
-                if hook is not None and self._measured_steps % every == 0:
+            if every:
+                steps = self._measured_steps = self._measured_steps + 1
+                if steps % every == last and hook is not None:
                     hook(self)
 
     def _cross_warmup(self, i: int) -> None:
@@ -411,13 +398,17 @@ class Engine:
         The engine state at this point is what the checkpoint layer
         snapshots: everything after it is the measured region.  No-op
         when any core has a zero-length warm-up (the boundary would
-        never fire, matching :meth:`run`'s behaviour).
+        never fire) and once the engine is warm.
         """
         if self._ran:
             raise RuntimeError("Engine.run() already completed")
         self._start()
-        if any(w == 0 for w in self._warmups):
-            return self
+        self._warm_up()
+        return self
+
+    def _warm_up(self) -> None:
+        if self.warmed or any(w == 0 for w in self._warmups):
+            return
         prof = self._prof
         if prof is not None:
             prof.start("warmup")
@@ -426,73 +417,33 @@ class Engine:
         finally:
             if prof is not None:
                 prof.stop()
-        return self
 
     def set_mark_hook(self, every: int,
                       callback: Callable[["Engine"], None]) -> None:
-        """Invoke ``callback(self)`` every ``every`` measured steps
-        (periodic progress marks for resumable runs)."""
+        """Invoke ``callback(self)`` once per ``every`` measured steps
+        (periodic progress marks for resumable runs; :meth:`_drive`
+        says where they fall)."""
         if every < 1:
             raise ValueError("mark interval must be >= 1")
         self._mark_every = every
         self._on_mark = callback
 
-    def _install_inband_marks(self) -> bool:
-        """Move the periodic progress mark in band; True on success.
-
-        Single-core, trace-backed engines rebuild their record stream
-        as a marked chunk pipeline: :class:`Mark` items at exactly the
-        absolute positions the modulus would fire at ride the
-        stream and invoke the hook at pull time.  That is the same
-        between-steps state point — counts/models are untouched while
-        the pull is in flight and the heap is rebuilt from model clocks
-        on restore — so snapshots taken by the hook are bit-identical
-        to the ones a modulus-fired hook takes.  Multicore and
-        externally-streamed engines keep the modulus (the pipeline would
-        have to split per-core position accounting).
-        """
-        if self._streams is not None or self.num_cores != 1:
-            return False
-        trace, warm = self.traces[0], self._warmups[0]
-        if warm == 0:
-            # Measured steps are never counted without a warm boundary,
-            # so there are no marks to place.
-            return True
-        hook = self._on_mark
-        assert hook is not None
-        start = self._counts[0]
-        # The modulus counts the warm-boundary step itself as
-        # measured step 1 (its stats are reset after processing), so it
-        # fires after the step that brings counts to warm-1+k*every.
-        # The in-band mark at position p fires during the pull of
-        # record p — same counts, same point between steps.
-        marks = [Mark(MARK_CKPT, p)
-                 for p in range(warm - 1 + self._mark_every,
-                                len(trace) + 1, self._mark_every)
-                 if p > start]
-
-        def fire(_mark: Mark) -> None:
-            hook(self)
-
-        self._iters[0] = stream_records(
-            insert_marks(chunks_of(trace, start=start), marks,
-                         base=start),
-            on_mark=fire)
-        return True
-
     def run(self) -> "Engine":
-        """Drive every core through its trace, handling warm-up resets."""
+        """Drive every core through its trace, handling warm-up resets.
+
+        The warm-up runs first unless :meth:`run_warmup` (or a restored
+        snapshot) already crossed it, so both ways into the measured
+        region step, count and fire marks identically.
+        """
         if self._ran:
             raise RuntimeError("Engine.run() may only be called once")
         self._start()
-        inband = False
-        if self._mark_every and self._on_mark is not None:
-            inband = self._install_inband_marks()
+        self._warm_up()
         prof = self._prof
         if prof is not None:
             prof.start("measure")
         try:
-            self._drive(until_warm=False, inband=inband)
+            self._drive(until_warm=False)
         finally:
             if prof is not None:
                 prof.stop()
@@ -506,8 +457,8 @@ class Engine:
 
         Valid only between steps (engine code never calls it mid-step).
         The trace iterators are not serialized; a restore re-derives
-        them by consuming ``counts[i]`` records from fresh streams, so
-        the restoring engine must be built from the same traces/config.
+        them with ``iter_from(counts[i])``, so the restoring engine must
+        be built from the same traces/config.
         """
         return {
             "counts": list(self._counts),
@@ -546,18 +497,10 @@ class Engine:
                 f"snapshot prefetchers {snap_names} != engine "
                 f"prefetchers {own_names}")
         self._start()
-        for i, count in enumerate(counts):
-            if count:
-                if self._streams is None:
-                    # O(1) chunk-level seek: reposition the source
-                    # instead of draining `count` records through the
-                    # iterator (decisive for streaming 100M+ traces).
-                    self._iters[i] = self.traces[i].iter_from(count)
-                else:
-                    # External streams only expose iteration: consume
-                    # exactly `count` records (the snapshot already
-                    # processed them).
-                    next(islice(self._iters[i], count - 1, count), None)
+        # O(1) chunk-level seek past the records the snapshot processed
+        # (decisive for streaming 100M+ traces).
+        self._iters = [t.iter_from(count)
+                       for t, count in zip(self.traces, counts)]
         self._counts = counts
         self._warmed = int(state["warmed"])
         self._measured_steps = int(state["measured_steps"])

@@ -13,21 +13,22 @@ multiprogrammed mixes do not have.  Each trace is folded into its core's
 region by masking to ``REGION_BITS`` and installing the core index in
 the bits above — provably disjoint for any footprint, unlike a raw
 ``addr + bias`` offset, which can collide once a trace's span crosses a
-region boundary.
+region boundary.  The fold is a :class:`RegionView` over each trace,
+so the engine reads every core as a plain trace source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..tracestream.stages import bias, chunks_of, records
+from ..tracestream.chunk import ChunkedSource, TraceChunk
 from .config import SystemConfig
-from .engine import Engine, PrefetcherFactory, Record
+from .engine import Engine, PrefetcherFactory
 from .stats import SimResult
 from .trace import TraceSource
 
-#: Bits of private address space per core.  Every biased address is
+#: Bits of private address space per core.  Every folded address is
 #: ``(addr mod 2**REGION_BITS) | core << REGION_BITS``: region
 #: membership is determined by the high bits alone, so two cores can
 #: never touch the same block no matter their footprints.
@@ -35,15 +36,30 @@ REGION_BITS = 44
 REGION_MASK = (1 << REGION_BITS) - 1
 
 
-def _biased(trace: TraceSource, core: int) -> Iterator[Record]:
-    """Yield trace records folded into ``core``'s private region.
+class RegionView(ChunkedSource):
+    """``trace`` with every address folded into ``core``'s region.
 
-    Runs as a chunk pipeline — the fold is one vectorized mask-or per
-    chunk (:func:`repro.tracestream.stages.bias`) instead of a
-    per-record Python expression, and a streaming trace source is
-    consumed chunk by chunk in constant memory.
+    A trace source in its own right: ``chunk_at`` applies the fold as
+    one vectorized mask-or per chunk, and name, length and instruction
+    count are the base trace's (results report the workload, not the
+    view).
     """
-    return records(bias(chunks_of(trace), core, REGION_BITS))
+
+    def __init__(self, trace: TraceSource, core: int):
+        self.trace = trace
+        self.name = trace.name
+        self._region = core << REGION_BITS
+
+    def __len__(self) -> int:
+        return len(self.trace)
+
+    @property
+    def instructions(self) -> int:
+        return self.trace.instructions
+
+    def chunk_at(self, start: int, stop: int) -> TraceChunk:
+        c = self.trace.chunk_at(start, stop)
+        return c.replace(addrs=(c.addrs & REGION_MASK) | self._region)
 
 
 @dataclass
@@ -72,8 +88,8 @@ def build_multicore(traces: Sequence[TraceSource],
     if num_cores == 0:
         raise ValueError("need at least one trace")
     config = (config or SystemConfig()).scaled(num_cores=num_cores)
-    return Engine(traces, config, l1_prefetcher, l2_prefetchers,
-                  streams=[_biased(t, i) for i, t in enumerate(traces)])
+    return Engine([RegionView(t, i) for i, t in enumerate(traces)],
+                  config, l1_prefetcher, l2_prefetchers)
 
 
 def run_multicore(traces: Sequence[TraceSource],

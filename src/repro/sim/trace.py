@@ -7,14 +7,15 @@ since the previous memory operation (so instruction counts and IPC can be
 reconstructed without simulating non-memory work).
 
 The engine is written against the :class:`TraceSource` protocol, which
-two implementations satisfy: the fully materialized :class:`Trace`
-below, and :class:`repro.tracestream.StreamingTrace`, which replays a
-chunked on-disk store entry through mmap in constant memory.  Both hand
-out the same record tuples and the same columnar chunk views, which is
-what makes the streaming path bit-identical to the in-memory one.
+the fully materialized :class:`Trace` below satisfies, as do
+:class:`TraceWindow`, :class:`repro.tracestream.StreamingTrace` (a
+chunked on-disk store entry replayed through mmap in constant memory)
+and the multicore region view.  Each supplies ``chunk_at``; record and
+chunk iteration are written once over it
+(:class:`~repro.tracestream.chunk.ChunkedSource`), which is what makes
+every source hand out the same record tuples for the same records.
 
-Traces are immutable once built and can be saved/loaded as ``.npz``
-files for reuse across experiments.
+Traces are immutable once built; the trace store persists them.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from typing import (Iterable, Iterator, List, Optional, Protocol, Sequence,
 
 import numpy as np
 
-from ..tracestream.chunk import CHUNK_RECORDS, TraceChunk
-
-#: Records per chunk when iterating a trace.  Large enough that the
-#: per-chunk ``tolist()`` overhead vanishes, small enough that peak
-#: memory stays constant regardless of trace length.
-ITER_CHUNK = 1 << 16
+from ..tracestream.chunk import CHUNK_RECORDS, ChunkedSource, TraceChunk
 
 
 @runtime_checkable
@@ -60,21 +56,7 @@ class TraceSource(Protocol):
     def chunk_at(self, start: int, stop: int) -> TraceChunk: ...
 
 
-class TraceRecord:
-    """One memory operation."""
-
-    __slots__ = ("pc", "addr", "is_write", "gap", "dep")
-
-    def __init__(self, pc: int, addr: int, is_write: bool = False,
-                 gap: int = 3, dep: bool = False):
-        self.pc = pc
-        self.addr = addr
-        self.is_write = is_write
-        self.gap = gap
-        self.dep = dep
-
-
-class Trace:
+class Trace(ChunkedSource):
     """An immutable memory-access trace backed by numpy arrays.
 
     ``dep`` marks loads that consume the value of the *previous* load
@@ -104,43 +86,11 @@ class Trace:
     def __len__(self) -> int:
         return len(self.pcs)
 
-    def __iter__(self) -> Iterator[Tuple[int, int, bool, int, bool]]:
-        """Yield (pc, addr, is_write, gap, dep) plain-Python tuples.
-
-        Iteration is chunked: each chunk converts ``ITER_CHUNK`` records
-        to Python scalars, so peak memory is constant in trace length
-        (materializing five full ``tolist()`` lists up front costs ~20GB
-        for a 100M-access trace).
-        """
-        return self.iter_from(0)
-
-    def iter_from(self, start: int
-                  ) -> Iterator[Tuple[int, int, bool, int, bool]]:
-        """Like ``iter(trace)`` but starting at record ``start``.
-
-        The engine's checkpoint restore uses this to reposition a record
-        stream in O(1) instead of draining an ``islice``.
-        """
-        n = len(self.pcs)
-        for lo in range(start, n, ITER_CHUNK):
-            hi = min(n, lo + ITER_CHUNK)
-            yield from zip(self.pcs[lo:hi].tolist(),
-                           self.addrs[lo:hi].tolist(),
-                           self.writes[lo:hi].tolist(),
-                           self.gaps[lo:hi].tolist(),
-                           self.deps[lo:hi].tolist())
-
     def chunk_at(self, start: int, stop: int) -> TraceChunk:
         """Chunk view of records ``[start, stop)`` (aliasing slices)."""
         return TraceChunk(self.pcs[start:stop], self.addrs[start:stop],
                           self.writes[start:stop], self.gaps[start:stop],
                           self.deps[start:stop])
-
-    def iter_chunks(self, start: int = 0) -> Iterator[TraceChunk]:
-        """Fixed-size chunk stream over the trace (zero-copy views)."""
-        n = len(self.pcs)
-        for lo in range(start, n, ITER_CHUNK):
-            yield self.chunk_at(lo, min(n, lo + ITER_CHUNK))
 
     @property
     def instructions(self) -> int:
@@ -160,32 +110,10 @@ class Trace:
     def unique_pcs(self) -> int:
         return int(np.unique(self.pcs).size)
 
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        np.savez_compressed(path, name=np.array(self.name), pcs=self.pcs,
-                            addrs=self.addrs, writes=self.writes,
-                            gaps=self.gaps, deps=self.deps)
-
-    @classmethod
-    def load(cls, path: str) -> "Trace":
-        data = np.load(path, allow_pickle=False)
-        deps = data["deps"] if "deps" in data else None
-        return cls(str(data["name"]), data["pcs"], data["addrs"],
-                   data["writes"], data["gaps"], deps)
-
-    @classmethod
-    def from_records(cls, name: str,
-                     records: Iterable[TraceRecord]) -> "Trace":
-        builder = TraceBuilder(name)
-        for r in records:
-            builder.add(r.pc, r.addr, r.is_write, r.gap, r.dep)
-        return builder.build()
-
     @classmethod
     def from_chunks(cls, name: str,
                     chunks: Iterable[TraceChunk]) -> "Trace":
-        """Materialize a chunk stream (marks excluded by the caller)."""
+        """Materialize a chunk stream."""
         parts = list(chunks)
         if not parts:
             return cls(name, [], [], [], [])
@@ -200,7 +128,7 @@ class Trace:
                    np.concatenate([c.deps for c in parts]))
 
 
-class TraceWindow:
+class TraceWindow(ChunkedSource):
     """A lazy, zero-copy view of records ``[start, stop)`` of a trace.
 
     Satisfies :class:`TraceSource` by delegating every bounded columnar
@@ -234,34 +162,12 @@ class TraceWindow:
     def instructions(self) -> int:
         """Retired instructions in the window (computed once, chunked)."""
         if self._instructions is None:
-            total = 0
-            for lo in range(self.start, self.stop, ITER_CHUNK):
-                hi = min(self.stop, lo + ITER_CHUNK)
-                gaps = self.base.chunk_at(lo, hi).gaps
-                total += int(gaps.sum(dtype=np.int64))
-            self._instructions = total + len(self)
+            self._instructions = len(self) + sum(
+                int(c.gaps.sum(dtype=np.int64)) for c in self.iter_chunks())
         return self._instructions
-
-    def __iter__(self) -> Iterator[Tuple[int, int, bool, int, bool]]:
-        return self.iter_from(0)
-
-    def iter_from(self, start: int
-                  ) -> Iterator[Tuple[int, int, bool, int, bool]]:
-        """Window-relative record stream from ``start`` (chunked)."""
-        n = len(self)
-        for lo in range(start, n, ITER_CHUNK):
-            c = self.chunk_at(lo, min(n, lo + ITER_CHUNK))
-            yield from zip(c.pcs.tolist(), c.addrs.tolist(),
-                           c.writes.tolist(), c.gaps.tolist(),
-                           c.deps.tolist())
 
     def chunk_at(self, start: int, stop: int) -> TraceChunk:
         return self.base.chunk_at(self.start + start, self.start + stop)
-
-    def iter_chunks(self, start: int = 0) -> Iterator[TraceChunk]:
-        n = len(self)
-        for lo in range(start, n, ITER_CHUNK):
-            yield self.chunk_at(lo, min(n, lo + ITER_CHUNK))
 
 
 class TraceBuilder:

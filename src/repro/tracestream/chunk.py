@@ -1,36 +1,28 @@
-"""Columnar trace chunks and in-band control marks.
+"""Columnar trace chunks and the one record iterator.
 
 A *chunk stream* is the unit of flow in :mod:`repro.tracestream`: an
-iterator yielding :class:`TraceChunk` items (fixed-ish-size numpy
-struct-of-arrays slabs of trace records) interleaved with
-:class:`Mark` items (control metadata — the engine's checkpoint
-progress marks — that ride the stream *in band* without breaking it,
-after talkpipe's segment/bypass design).
-
-Transform stages operate on chunks and pass marks through untouched and
-in order; :func:`repro.tracestream.stages.insert_marks` splits chunks at
-mark positions, so in-order pass-through is enough to keep a mark
-exactly between the two records it was inserted between.  Every mark
-also carries its absolute record ``position`` (the index of the record
-*after* it), which is authoritative when a stage cannot preserve
-interleaving (e.g. ``rechunk`` flushing a partial buffer).
+iterator of :class:`TraceChunk` items (fixed-ish-size numpy
+struct-of-arrays slabs of trace records).  :class:`ChunkedSource`
+turns any source with ``__len__`` and ``chunk_at`` into a chunk stream
+and into the engine's scalar record stream; every trace source (the
+in-memory trace, windows, the store replay, the multicore region view)
+iterates through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Union
+from typing import Iterator, Tuple
 
 import numpy as np
 
-#: Default records per chunk.  Matches ``repro.sim.trace.ITER_CHUNK``:
-#: large enough that per-chunk overhead vanishes, small enough that one
-#: chunk (~22 bytes/record → ~1.4MB) keeps streaming memory trivial.
+#: Records per chunk: large enough that the per-chunk ``tolist()`` and
+#: mmap-open overhead vanishes, small enough that one chunk (~22
+#: bytes/record → ~1.4MB) keeps streaming memory constant in trace
+#: length.
 CHUNK_RECORDS = 1 << 16
 
-#: The engine's periodic checkpoint progress mark, the one mark kind
-#: in use (stages treat kinds opaquely).
-MARK_CKPT = "ckpt"
+#: One engine record: (pc, addr, is_write, gap, dep).
+Record = Tuple[int, int, bool, int, bool]
 
 
 class TraceChunk:
@@ -79,24 +71,6 @@ class TraceChunk:
                           self.deps[start:stop])
 
 
-@dataclass(frozen=True)
-class Mark:
-    """In-band control metadata: fires *before* the record at ``position``.
-
-    ``position`` is the absolute record index within the logical trace
-    (so a mark at position ``p`` sits between records ``p-1`` and ``p``;
-    a mark at ``position == len(trace)`` fires after the final record).
-    """
-
-    kind: str
-    position: int
-    payload: Dict[str, Any] = field(default_factory=dict)
-
-
-#: What flows through a stage: data chunks interleaved with marks.
-StreamItem = Union[TraceChunk, Mark]
-
-
 def make_chunk(pcs, addrs, writes=None, gaps=None, deps=None,
                gap: int = 3) -> TraceChunk:
     """Build a validated chunk, coercing dtypes and filling defaults.
@@ -127,7 +101,7 @@ def make_chunk(pcs, addrs, writes=None, gaps=None, deps=None,
 
 
 def concat_chunks(chunks) -> TraceChunk:
-    """Concatenate chunks into one (materializes; for small streams)."""
+    """Concatenate chunks into one (a copy unless there is just one)."""
     chunks = list(chunks)
     if not chunks:
         return make_chunk(np.empty(0, np.int64), np.empty(0, np.int64))
@@ -135,3 +109,37 @@ def concat_chunks(chunks) -> TraceChunk:
         return chunks[0]
     return TraceChunk(*(np.concatenate([getattr(c, col) for c in chunks])
                         for col in TraceChunk._fields))
+
+
+class ChunkedSource:
+    """Record and chunk iteration over ``chunk_at``, written once.
+
+    A subclass supplies ``__len__`` and ``chunk_at(start, stop)``; it
+    inherits ``__iter__``, ``iter_from`` and ``iter_chunks``.  Records
+    come out as plain-Python ``(pc, addr, is_write, gap, dep)`` tuples,
+    converted one ``tolist`` per column per chunk, so a replay holds at
+    most one chunk (and, for the store, one chunk's mapped files).
+    """
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def chunk_at(self, start: int, stop: int) -> TraceChunk:
+        raise NotImplementedError
+
+    def iter_chunks(self, start: int = 0) -> Iterator[TraceChunk]:
+        """``CHUNK_RECORDS``-record chunks from record ``start`` on."""
+        n = len(self)
+        for lo in range(start, n, CHUNK_RECORDS):
+            yield self.chunk_at(lo, min(n, lo + CHUNK_RECORDS))
+
+    def iter_from(self, start: int) -> Iterator[Record]:
+        """Record tuples from record ``start`` on: an O(1) seek, which
+        the engine's checkpoint restore relies on."""
+        for c in self.iter_chunks(start):
+            yield from zip(c.pcs.tolist(), c.addrs.tolist(),
+                           c.writes.tolist(), c.gaps.tolist(),
+                           c.deps.tolist())
+
+    def __iter__(self) -> Iterator[Record]:
+        return self.iter_from(0)

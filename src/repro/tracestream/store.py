@@ -32,14 +32,15 @@ import pathlib
 import re
 import shutil
 import tempfile
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..store import Store, StoreCorrupt, check_key, oldest_first, \
     store_dir
-from .chunk import CHUNK_RECORDS, StreamItem, TraceChunk
-from . import stages
+from .chunk import (CHUNK_RECORDS, ChunkedSource, TraceChunk,
+                    concat_chunks)
+from .stages import rechunk
 
 #: On-disk format version; a mismatch is treated as corrupt, never read.
 FORMAT_VERSION = 1
@@ -76,15 +77,16 @@ def _array_digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
-class StreamingTrace:
+class StreamingTrace(ChunkedSource):
     """A :class:`~repro.sim.trace.TraceSource` replaying a store entry.
 
     Satisfies the same protocol as the in-memory ``Trace`` — ``name``,
     ``len``, ``iter_from`` / ``__iter__``, ``chunk_at``,
     ``instructions`` — but reads columns from mmap'd chunk files,
-    keeping resident memory constant in trace length.  A two-entry
-    chunk cache makes sequential replay touch each file once; it is
-    emptied when a replay ends, so an idle handle holds no open files.
+    keeping resident memory constant in trace length.  It caches
+    nothing: ``chunk_at`` maps the files it needs, and the maps close
+    when the chunk it returned is dropped, so an idle handle holds no
+    open files however it was replayed.
     """
 
     def __init__(self, directory: pathlib.Path, header: Dict[str, Any]):
@@ -93,9 +95,7 @@ class StreamingTrace:
         self.name: str = header["name"]
         self._n: int = header["total"]
         self._chunk: int = header["chunk_records"]
-        self._num_chunks: int = header["num_chunks"]
         self._instructions: int = header["instructions"]
-        self._cache: "Dict[int, Dict[str, np.ndarray]]" = {}
 
     def __len__(self) -> int:
         return self._n
@@ -105,16 +105,10 @@ class StreamingTrace:
         """Total retired instructions (precomputed at write time)."""
         return self._instructions
 
-    def _load(self, idx: int) -> Dict[str, np.ndarray]:
-        cols = self._cache.get(idx)
-        if cols is None:
-            cols = {name: np.load(self.directory / _chunk_file(idx, name),
-                                  mmap_mode="r", allow_pickle=False)
-                    for name, _ in _COLUMNS}
-            if len(self._cache) >= 2:  # keep current + lookahead only
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[idx] = cols
-        return cols
+    def _map(self, idx: int) -> TraceChunk:
+        return TraceChunk(*(np.load(self.directory / _chunk_file(idx, name),
+                                    mmap_mode="r", allow_pickle=False)
+                            for name, _ in _COLUMNS))
 
     def chunk_at(self, start: int, stop: int) -> TraceChunk:
         """Columnar view of records ``[start, stop)`` (bounded copies
@@ -122,40 +116,15 @@ class StreamingTrace:
         if not 0 <= start <= stop <= self._n:
             raise IndexError(f"window [{start}, {stop}) outside trace "
                              f"of {self._n} records")
-        parts: Dict[str, List[np.ndarray]] = {name: []
-                                              for name, _ in _COLUMNS}
+        parts: List[TraceChunk] = []
         pos = start
         while pos < stop:
             idx = pos // self._chunk
             base = idx * self._chunk
-            lo = pos - base
             hi = min(stop - base, self._chunk)
-            cols = self._load(idx)
-            for name, _ in _COLUMNS:
-                parts[name].append(cols[name][lo:hi])
+            parts.append(self._map(idx).slice(pos - base, hi))
             pos = base + hi
-        merged = {name: (p[0] if len(p) == 1 else np.concatenate(p))
-                  if p else np.empty(0, dtype=dt)
-                  for (name, dt), p in zip(_COLUMNS, parts.values())}
-        return TraceChunk(merged["pcs"], merged["addrs"],
-                          merged["writes"], merged["gaps"],
-                          merged["deps"])
-
-    def iter_chunks(self, start: int = 0) -> Iterator[TraceChunk]:
-        try:
-            yield from stages.chunks_of(self, start, self._chunk)
-        finally:
-            # Each cached column holds an open file; a process keeps
-            # every handle it acquired, so release them between replays.
-            self._cache.clear()
-
-    def iter_from(self, start: int):
-        """Record tuples from ``start`` — the same values, in the same
-        Python types, as the in-memory ``Trace.iter_from``."""
-        return stages.records(self.iter_chunks(start))
-
-    def __iter__(self):
-        return self.iter_from(0)
+        return concat_chunks(parts)
 
 
 class TraceStore(Store):
@@ -233,14 +202,12 @@ class TraceStore(Store):
     # -- write -------------------------------------------------------------
 
     def put(self, workload: str, n: int, seed: int,
-            stream: Iterable[StreamItem],
+            stream: Iterable[TraceChunk],
             name: Optional[str] = None) -> StreamingTrace:
         """Drain ``stream`` to a new entry (atomic; constant memory).
 
-        Marks in the stream are dropped: the store persists data, and
-        control metadata is re-inserted on replay.  A concurrent writer
-        of the same key wins or loses atomically; either way the caller
-        gets a readable entry back.
+        A concurrent writer of the same key wins or loses atomically;
+        either way the caller gets a readable entry back.
         """
         key = entry_key(workload, n, seed)
         final = self.directory / key
@@ -253,9 +220,7 @@ class TraceStore(Store):
             total = 0
             instructions = 0
             idx = 0
-            for item in stages.rechunk(stream, self.chunk_records):
-                if not isinstance(item, TraceChunk):
-                    continue
+            for item in rechunk(stream, self.chunk_records):
                 for col, dtype in _COLUMNS:
                     arr = np.ascontiguousarray(getattr(item, col))
                     if str(arr.dtype) != dtype:

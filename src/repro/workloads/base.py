@@ -93,13 +93,6 @@ def _zipf_indices(rng: np.random.Generator, n: int, universe: int,
     return rng.choice(universe, size=n, p=probs)
 
 
-def _only_chunks(stream) -> Iterator[TraceChunk]:
-    """Narrow a mark-free StreamItem iterator for the type checker."""
-    for item in stream:
-        if isinstance(item, TraceChunk):
-            yield item
-
-
 # -- pointer_chase -------------------------------------------------------------
 
 def _pointer_chase_chunks(n: int, seed: int, nodes: int = 32768,
@@ -443,9 +436,8 @@ def _phased_chunks(n: int, seed: int,
         else:
             raise ValueError(f"unknown phase kind {kind!r}")
         # Shift each phase's PCs/regions so phases don't share state.
-        yield from _only_chunks(shift(
-            sub, pc_offset=0x1000 * k,
-            addr_offset=k << (REGION_BITS + 4)))
+        yield from shift(sub, pc_offset=0x1000 * k,
+                         addr_offset=k << (REGION_BITS + 4))
 
 
 def phased(name: str, n: int, seed: int,
@@ -595,7 +587,7 @@ def _normalized(fn: Callable[..., Iterator[TraceChunk]]
     """Wrap a producer so consumers see uniform CHUNK_RECORDS chunks."""
 
     def wrapped(n: int, seed: int, **kwargs) -> Iterator[TraceChunk]:
-        return _only_chunks(rechunk(fn(n, seed, **kwargs), CHUNK_RECORDS))
+        return rechunk(fn(n, seed, **kwargs), CHUNK_RECORDS)
 
     wrapped.__name__ = fn.__name__
     return wrapped

@@ -20,8 +20,6 @@ os.environ.setdefault("REPRO_CACHE", "0")
 # Likewise don't litter benchmarks/.obs with run logs from every runner
 # test; obs tests opt back in with REPRO_OBS=1 + a tmp REPRO_OBS_DIR.
 os.environ.setdefault("REPRO_OBS", "0")
-# And keep sampling off (experiments stay exact).
-os.environ.setdefault("REPRO_SAMPLING", "0")
 # Every store a test writes without naming a directory lands in one
 # throwaway tree, never in benchmarks/: warm-up fingerprints and trace
 # keys do not cover simulator or generator source, so a later run could

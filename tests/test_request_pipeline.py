@@ -8,7 +8,7 @@ from repro.memory.events import EV, EventBus
 from repro.memory.hierarchy import CoreHierarchy, SharedUncore
 from repro.prefetchers.base import (Prefetcher, TRAIN_SCOPE_ALL_L2,
                                     TRAIN_SCOPE_TEMPORAL)
-from repro.sim.multicore import REGION_BITS, REGION_MASK, _biased
+from repro.sim.multicore import REGION_BITS, REGION_MASK, RegionView
 from repro.sim.trace import TraceBuilder
 
 
@@ -191,13 +191,13 @@ class TestBiasedRegions:
     def test_core_zero_in_range_is_identity(self):
         addrs = [0x1000, 0x12345678, (1 << REGION_BITS) - 64]
         t = self._trace(addrs)
-        assert [rec[1] for rec in _biased(t, 0)] == addrs
+        assert [rec[1] for rec in RegionView(t, 0)] == addrs
 
     def test_matches_old_additive_bias_for_in_range_addresses(self):
         addrs = [0x1000, 0xDEAD_BEEF_00, (1 << 40) + 4096]
         t = self._trace(addrs)
         for core in (1, 3):
-            got = [rec[1] for rec in _biased(t, core)]
+            got = [rec[1] for rec in RegionView(t, core)]
             assert got == [a + (core << REGION_BITS) for a in addrs]
 
     def test_regions_disjoint_even_for_oversized_footprints(self):
@@ -207,7 +207,7 @@ class TestBiasedRegions:
         t = self._trace(huge)
         blocks = {}
         for core in (0, 1, 2):
-            for _, addr, _, _, _ in _biased(t, core):
+            for _, addr, _, _, _ in RegionView(t, core):
                 assert addr >> REGION_BITS == core
                 blocks.setdefault(core, set()).add(addr)
         assert not (blocks[0] & blocks[1])
@@ -215,3 +215,12 @@ class TestBiasedRegions:
 
     def test_mask_covers_region(self):
         assert REGION_MASK == (1 << REGION_BITS) - 1
+
+    def test_view_keeps_the_base_trace_identity(self):
+        # Results name the workload and count its instructions, so the
+        # view must report the base trace's, and seek like it.
+        t = self._trace([0x1000 + 64 * i for i in range(10)], name="wl")
+        view = RegionView(t, 2)
+        assert (view.name, len(view), view.instructions) == \
+            ("wl", len(t), t.instructions)
+        assert list(view.iter_from(4)) == list(view)[4:]

@@ -2,9 +2,8 @@
 windowed execution, warm-up sharing, error bounds, and knob hygiene.
 
 The non-negotiable invariant mirrors the streaming/serve subsystems:
-with ``REPRO_SAMPLING`` off (the default everywhere but fig9s), nothing
-in this package may change what any experiment computes — full jobs are
-untouched by the knob, and sampled (windowed) jobs key their own cache
+nothing in this package may change what an exact experiment computes.
+Only fig9s samples, and sampled (windowed) jobs key their own cache
 entries via ``SimJob.window``.
 """
 
@@ -18,8 +17,7 @@ from repro.runner import SimJob, SimRunner, execute_job, spec
 from repro.sampling import (DEFAULT_ERROR_BOUNDS, FEATURE_NAMES,
                             PlanStore, build_plan, extract_features,
                             get_plan, kmeans, pick_representatives,
-                            sampled_jobs, sampling_enabled, sampling_k,
-                            validate_sampling)
+                            sampled_jobs, sampling_k, validate_sampling)
 from repro.sampling.plan import plan_key
 
 CFG = experiment_config()
@@ -148,21 +146,6 @@ class TestWindowedJobs:
         assert payload["warmups"] == [1000]
         assert payload["simulated"] == [3000]
 
-    @pytest.mark.parametrize("workload", ["gap.pr", "06.mcf",
-                                          "06.omnetpp"])
-    @pytest.mark.parametrize("l2", ["triangel", "streamline"])
-    def test_knob_cannot_change_full_jobs(self, workload, l2,
-                                          monkeypatch):
-        """REPRO_SAMPLING is an experiment-selection knob, never an
-        execution knob: a full job is bit-identical either way."""
-        job = SimJob.single(workload, 2500, CFG, l1=STRIDE,
-                            l2=(spec(l2),))
-        monkeypatch.setenv("REPRO_SAMPLING", "0")
-        off = execute_job(job).single
-        monkeypatch.setenv("REPRO_SAMPLING", "1")
-        on = execute_job(job).single
-        assert off == on
-
 
 # -- shared warm-up ------------------------------------------------------------
 
@@ -218,19 +201,6 @@ class TestEstimateAccuracy:
 # -- knobs ---------------------------------------------------------------------
 
 class TestKnobs:
-    def test_default_off(self):
-        # conftest pins REPRO_SAMPLING=0: even sampling-flavoured
-        # callers (fig9s passes default=True) resolve to off.
-        assert sampling_enabled() is False
-        assert sampling_enabled(default=True) is False
-
-    def test_tristate_validation_names_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAMPLING", "banana")
-        with pytest.raises(ValueError, match="REPRO_SAMPLING"):
-            sampling_enabled()
-        monkeypatch.setenv("REPRO_SAMPLING", "auto")
-        assert sampling_enabled(default=True) is True
-
     def test_k_validation_names_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SAMPLING_K", "0")
         with pytest.raises(ValueError, match="REPRO_SAMPLING_K"):
@@ -251,12 +221,11 @@ class TestKnobs:
 # -- fig9s ---------------------------------------------------------------------
 
 class TestFig9s:
-    def test_disabled_delegates_to_full_fig9(self):
-        from repro.experiments import fig9, fig9s
-        wl = ["gap.pr", "06.lbm"]
-        sampled = fig9s.run(n=4000, workloads=wl)
-        full = fig9.run(n=4000, workloads=wl)
-        assert sampled.name == "fig9s"
-        assert sampled.headers == full.headers
-        assert sampled.rows == full.rows
-        assert "REPRO_SAMPLING=0" in sampled.notes
+    def test_small_sampled_run_renders(self):
+        # No saving is asserted at this scale: the bounded warm-up
+        # prefixes outweigh n, so each arm simulates more than n.
+        from repro.experiments import fig9s
+        res = fig9s.run(n=12000, workloads=["gap.pr"])
+        assert res.name == "fig9s"
+        assert res.headers[-2:] == ["ipc ci95", "sim share"]
+        assert [row[0] for row in res.rows] == ["gap.pr", "GEOMEAN"]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.trace import Trace, TraceBuilder, TraceRecord
+from repro.sim.trace import Trace, TraceBuilder
+from repro.tracestream.chunk import CHUNK_RECORDS
 
 
 def small_trace():
@@ -49,31 +50,6 @@ def test_mismatched_lengths_rejected():
         Trace("bad", [1], [64], [False], [1], deps=[True, False])
 
 
-def test_from_records():
-    t = Trace.from_records("r", [TraceRecord(1, 64),
-                                 TraceRecord(2, 128, dep=True)])
-    assert len(t) == 2
-    assert list(t)[1][4] is True
-
-
-def test_save_load_roundtrip(tmp_path):
-    t = small_trace()
-    path = tmp_path / "trace.npz"
-    t.save(str(path))
-    loaded = Trace.load(str(path))
-    assert list(loaded) == list(t)
-    assert loaded.name == t.name
-
-
-def test_load_without_deps_defaults_false(tmp_path):
-    t = small_trace()
-    path = tmp_path / "old.npz"
-    np.savez_compressed(path, name=np.array("old"), pcs=t.pcs,
-                        addrs=t.addrs, writes=t.writes, gaps=t.gaps)
-    loaded = Trace.load(str(path))
-    assert not loaded.deps.any()
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(
     st.integers(min_value=0, max_value=2**30),   # pc
@@ -98,7 +74,7 @@ def test_builder_extend():
     assert len(t) == 2 and list(t)[1][0] == 2
 
 
-# -- persistence and chunk-boundary edges ----------------------------------
+# -- chunk-boundary edges ---------------------------------------------------
 
 
 def ramp_trace(n: int, name: str = "ramp") -> Trace:
@@ -107,24 +83,13 @@ def ramp_trace(n: int, name: str = "ramp") -> Trace:
                  (idx % 7).astype(np.int32), idx % 5 == 0)
 
 
-def test_save_load_preserves_deps_exactly(tmp_path):
-    t = ramp_trace(100)
-    path = tmp_path / "deps.npz"
-    t.save(str(path))
-    loaded = Trace.load(str(path))
-    assert np.array_equal(loaded.deps, t.deps)
-    assert loaded.deps.any() and not loaded.deps.all()
-    assert loaded.deps.dtype == np.bool_
-
-
 def test_iter_from_at_chunk_boundaries():
-    from repro.sim.trace import ITER_CHUNK
-
-    n = ITER_CHUNK + 5
+    n = CHUNK_RECORDS + 5
     t = ramp_trace(n)
     whole = list(t)
     assert len(whole) == n
-    for start in (0, 1, ITER_CHUNK - 1, ITER_CHUNK, ITER_CHUNK + 1, n):
+    for start in (0, 1, CHUNK_RECORDS - 1, CHUNK_RECORDS,
+                  CHUNK_RECORDS + 1, n):
         assert list(t.iter_from(start)) == whole[start:], start
 
 

@@ -1,16 +1,16 @@
-"""Streaming trace pipeline: stages, marks, on-disk store, parity.
+"""Streaming trace pipeline: stages, on-disk store, parity, marks.
 
 The subsystem invariant (DESIGN.md "Streaming trace pipeline"): routing
 trace acquisition and replay through chunk streams — vectorized
-generators, transform stages, in-band marks, the mmap-backed
+generators, transform stages, the mmap-backed
 :class:`~repro.tracestream.store.TraceStore` — is a pure execution
 strategy.  Every consumer sees record-for-record the same stream, and
 simulated results are **bit-identical** to the in-memory path.
-These tests assert that for the stage algebra, the store round-trip,
-the engine across workload archetypes × prefetchers, telemetry series,
-the in-band checkpoint-mark path, and the runner's store-backed trace
-acquisition.  Corruption handling is shared by every store and tested
-in ``tests/test_store.py``.
+These tests assert that for the stage algebra, the one record
+iterator, the store round-trip, the engine across workload archetypes
+× prefetchers, telemetry series, the progress-mark rule, and the
+runner's store-backed trace acquisition.  Corruption handling is shared
+by every store and tested in ``tests/test_store.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.checkpoint import state_equal
 from repro.envknobs import env_dir, env_tristate
 from repro.obs.progress import wanted as progress_wanted
 from repro.runner import SimJob
@@ -29,12 +28,13 @@ from repro.runner import traces as runner_traces
 from repro.runner.specs import spec
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine, run_single
-from repro.sim.trace import TraceSource
+from repro.sim.multicore import RegionView, build_multicore
+from repro.sim.trace import Trace, TraceSource, TraceWindow
 from repro.store import StoreCorrupt
 from repro.telemetry import TelemetryConfig
 from repro.tracestream import chunk as tschunk
 from repro.tracestream import stages
-from repro.tracestream.chunk import (CHUNK_RECORDS, MARK_CKPT, Mark,
+from repro.tracestream.chunk import (CHUNK_RECORDS, ChunkedSource,
                                      TraceChunk, concat_chunks,
                                      make_chunk)
 from repro.tracestream.store import (StreamingTrace, TraceStore,
@@ -48,22 +48,6 @@ def ramp_chunk(n: int, base: int = 0) -> TraceChunk:
     return make_chunk(pcs=0x1000 + 4 * idx, addrs=64 * idx,
                       writes=(idx % 3 == 0), gaps=(idx % 7).astype(np.int32),
                       deps=(idx % 5 == 0))
-
-
-def ramp_stream(total: int, sizes):
-    pos = 0
-    for size in sizes:
-        take = min(size, total - pos)
-        if take <= 0:
-            return
-        yield ramp_chunk(take, base=pos)
-        pos += take
-
-
-def flat_addrs(stream) -> np.ndarray:
-    cols = [item.addrs for item in stream
-            if isinstance(item, TraceChunk)]
-    return np.concatenate(cols) if cols else np.empty(0, np.int64)
 
 
 # -- chunk primitives ------------------------------------------------------
@@ -104,62 +88,29 @@ class TestChunk:
 
 
 class TestStages:
-    def test_chunks_of_covers_source_in_order(self):
-        trace = make("06.lbm", 1000, 7)
-        got = concat_chunks(list(stages.chunks_of(trace, size=256)))
-        assert np.array_equal(got.addrs, trace.addrs)
-        tail = concat_chunks(list(stages.chunks_of(trace, start=900,
-                                                   size=256)))
-        assert np.array_equal(tail.addrs, trace.addrs[900:])
+    def test_iter_chunks_covers_source_in_order(self):
+        n = CHUNK_RECORDS + 1000
+        trace = make("06.lbm", n, 7)
+        chunks = list(trace.iter_chunks())
+        assert [len(c) for c in chunks] == [CHUNK_RECORDS, 1000]
+        assert np.array_equal(concat_chunks(chunks).addrs, trace.addrs)
+        tail = concat_chunks(list(trace.iter_chunks(n - 100)))
+        assert np.array_equal(tail.addrs, trace.addrs[n - 100:])
 
-    def test_bias_matches_scalar_fold(self):
-        region_bits, core = 20, 3
-        mask = (1 << region_bits) - 1
-        addrs = flat_addrs(stages.bias(ramp_stream(300, [128, 128, 128]),
-                                       core, region_bits))
-        want = (ramp_chunk(300).addrs & mask) | (core << region_bits)
-        assert np.array_equal(addrs, want)
-
-    def test_rechunk_normalizes_and_flushes_on_marks(self):
-        mark = Mark(MARK_CKPT, 5)
-        items = [ramp_chunk(3), mark, ramp_chunk(10, base=3)]
+    def test_rechunk_normalizes_chunk_sizes(self):
+        items = [ramp_chunk(3), ramp_chunk(10, base=3)]
         out = list(stages.rechunk(iter(items), size=4))
-        # The pending partial [0,3) flushed before the mark.
-        assert isinstance(out[0], TraceChunk) and len(out[0]) == 3
-        assert out[1] is mark
-        assert [len(c) for c in out[2:]] == [4, 4, 2]
-        assert np.array_equal(flat_addrs(out), ramp_chunk(13).addrs)
+        assert [len(c) for c in out] == [4, 4, 4, 1]
+        assert np.array_equal(concat_chunks(out).addrs,
+                              ramp_chunk(13).addrs)
         with pytest.raises(ValueError):
             list(stages.rechunk(iter(items), size=0))
 
-    def test_insert_marks_splits_at_exact_positions(self):
-        marks = [Mark(MARK_CKPT, 4), Mark(MARK_CKPT, 10),
-                 Mark(MARK_CKPT, 99)]
-        out = list(stages.insert_marks(ramp_stream(12, [8, 8]), marks))
-        kinds = [len(i) if isinstance(i, TraceChunk) else i
-                 for i in out]
-        assert kinds == [4, marks[0], 4, 2, marks[1], 2, marks[2]]
-        assert np.array_equal(flat_addrs(out), ramp_chunk(12).addrs)
-
-    def test_insert_marks_base_offsets_absolute_positions(self):
-        trace = make("06.lbm", 400, 7)
-        marks = [Mark(MARK_CKPT, 300)]
-        out = list(stages.insert_marks(
-            stages.chunks_of(trace, start=256, size=128), marks,
-            base=256))
-        assert [len(i) if isinstance(i, TraceChunk) else i
-                for i in out] == [44, marks[0], 84, 16]
-
-    def test_records_fires_marks_between_the_right_records(self):
-        fired = []
-        seen = 0
-        stream = stages.insert_marks(ramp_stream(20, [16, 16]),
-                                     [Mark(MARK_CKPT, 13)])
-        for _rec in stages.records(
-                stream, on_mark=lambda m: fired.append((m, seen))):
-            seen += 1
-        assert fired == [(Mark(MARK_CKPT, 13), 13)]
-        assert seen == 20
+    def test_every_source_shares_the_one_record_iterator(self):
+        for cls in (Trace, TraceWindow, StreamingTrace, RegionView):
+            for name in ("__iter__", "iter_from", "iter_chunks"):
+                assert getattr(cls, name) is \
+                    getattr(ChunkedSource, name), (cls, name)
 
 
 # -- on-disk store ---------------------------------------------------------
@@ -210,6 +161,14 @@ class TestTraceStore:
         for start in (0, 1, self.CHUNK, self.CHUNK + 1, 4999, 5000):
             assert list(replay.iter_from(start)) == \
                 list(direct.iter_from(start)), start
+
+    def test_window_over_replay_matches_trace_slice(self, store):
+        lo, hi = self.CHUNK - 3, 3 * self.CHUNK + 5
+        win = TraceWindow(self.put(store), lo, hi)
+        want = make("gap.pr", 5000, 7).slice(lo, hi)
+        assert list(win) == list(want)
+        assert list(win.iter_from(10)) == list(want)[10:]
+        assert win.instructions == want.instructions
 
     def test_put_length_mismatch_rejected(self, store):
         with pytest.raises(ValueError, match="record"):
@@ -285,31 +244,43 @@ class TestEngineParity:
         assert series[0] == series[1]
 
 
-class TestInbandMarks:
-    def build(self, streams=None, n=8000):
+#: Records per core and progress-mark interval of the mark-rule tests.
+MARK_N, MARK_EVERY = 4000, 700
+
+
+class TestProgressMarks:
+    def build(self, n=8000):
         trace = make("gap.pr", n, 42)
         engine = Engine([trace], parity_config(),
-                        l2_prefetchers=[spec("streamline").build],
-                        streams=streams and [streams(trace)])
+                        l2_prefetchers=[spec("streamline").build])
         return trace, engine
 
-    def test_inband_marks_match_scalar_modulus_path(self):
-        # In-band (trace-backed single core) vs. scalar (external
-        # stream forces the modulus path): same firing positions, same
-        # snapshot states, same result.
-        snaps = {}
-        results = {}
-        for mode, streams in (("inband", None), ("scalar", iter)):
-            _trace, engine = self.build(streams)
-            taken = snaps[mode] = []
-            engine.set_mark_hook(
-                1000, lambda e, t=taken: t.append(e.state_dict()))
+    @pytest.mark.parametrize("workloads", [("06.mcf",),
+                                           ("06.mcf", "gap.pr")],
+                             ids=["1-core", "2-core"])
+    def test_marks_fire_on_the_same_records_in_either_order(
+            self, workloads):
+        # A bare run() and run_warmup() + run() enter the measured
+        # region differently; the hook must see the same counts.
+        config = SystemConfig().scaled_down(8)
+        build = Engine if len(workloads) == 1 else build_multicore
+        seen = {}
+        for warm_first in (False, True):
+            traces = [make(wl, MARK_N, 42) for wl in workloads]
+            engine = build(traces, config,
+                           l2_prefetchers=[spec("streamline").build])
+            fired = seen[warm_first] = []
+            engine.set_mark_hook(MARK_EVERY, lambda e, f=fired: f.append(
+                tuple(e.state_dict()["counts"])))
+            if warm_first:
+                engine.run_warmup()
             engine.run()
-            results[mode] = engine.collect()
-        assert len(snaps["inband"]) == len(snaps["scalar"]) > 0
-        for a, b in zip(snaps["inband"], snaps["scalar"]):
-            assert state_equal(a, b)
-        assert results["inband"] == results["scalar"]
+        assert seen[False] == seen[True]
+        if len(workloads) == 1:
+            warm = int(MARK_N * config.warmup_fraction)
+            assert seen[True] == [
+                (p,) for p in range(warm - 1 + MARK_EVERY, MARK_N + 1,
+                                    MARK_EVERY)]
 
     def test_resume_skips_already_fired_marks(self):
         # Restore at mark k: the continued run fires only marks > k and
@@ -383,14 +354,22 @@ class TestRunnerKnobs:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts descriptors through /proc")
-    def test_replayed_handles_hold_no_open_files(self, trace_dir):
+    @pytest.mark.parametrize("replay", ["full", "window", "window-seek"])
+    def test_replayed_handles_hold_no_open_files(self, trace_dir, replay):
         # Every acquired handle stays memoized, so one that kept its
         # mmapped chunk columns open would exhaust descriptors in a
-        # long serial sweep.
+        # long serial sweep, whichever way it was replayed.
+        def records(trace):
+            if replay == "full":
+                return trace
+            window = TraceWindow(trace, 500, 1500)
+            return window if replay == "window" else window.iter_from(300)
+
+        want = {"full": 2000, "window": 1000, "window-seek": 700}[replay]
         before = len(os.listdir("/proc/self/fd"))
         for seed in range(20):
-            assert sum(1 for _ in runner_traces.get_trace(
-                "gap.pr", 2000, seed)) == 2000
+            assert sum(1 for _ in records(runner_traces.get_trace(
+                "gap.pr", 2000, seed))) == want
         assert len(os.listdir("/proc/self/fd")) - before < 5
 
     def test_job_end_reports_store_deltas(self, trace_dir, monkeypatch):
