@@ -1,11 +1,11 @@
 """Shared bench harness.
 
-Each ``bench_<id>.py`` regenerates one paper table/figure via
-``repro.experiments``.  Under ``pytest --benchmark-only`` the experiment
+``bench_experiments.py`` regenerates each paper table/figure via
+``repro.experiments``.  Under ``pytest --benchmark-only`` an experiment
 runs once inside pytest-benchmark (so wall-clock cost is recorded); the
 resulting table is printed and also written to ``benchmarks/results/``
-so the numbers survive output capture.  Standalone ``__main__`` blocks
-go through :func:`main_experiment`, which prints the same table and
+so the numbers survive output capture.  Its standalone ``__main__``
+goes through :func:`main_experiment`, which prints the same table and
 persists the same files without pytest.
 
 Every run now also emits machine-readable results: one
@@ -131,7 +131,7 @@ def run_experiment(benchmark, exp_id: str, **kwargs):
 
 
 def main_experiment(exp_id: str, **kwargs):
-    """Standalone ``__main__`` entry point for ``bench_<id>.py``.
+    """Standalone entry point for one ``bench_experiments.py`` id.
 
     Prints exactly the experiment table (stdout-compatible with the
     historical ``print(...table())`` main blocks, so golden comparisons

@@ -8,7 +8,7 @@ Two claims, asserted every run:
    feature-extraction pass over the chunk pipeline, no simulation).
 2. **Accuracy** — sampled-vs-full on the default validation grid stays
    inside every declared per-metric error bound (the same check
-   ``python -m repro.sampling validate`` exits non-zero on).
+   ``python -m repro sampling validate`` exits non-zero on).
 
 Writes ``results/sampling.json`` and folds the headline numbers into
 ``results/BENCH_summary.json``.  ``REPRO_QUICK=1`` shrinks the
@@ -42,7 +42,7 @@ def _validation_grid():
     default grid, or its cheapest row under ``REPRO_QUICK``."""
     from repro.experiments.common import quick_mode
     from repro.runner import spec
-    from repro.sampling.__main__ import VALIDATE_ARMS, VALIDATE_WORKLOADS
+    from repro.__main__ import VALIDATE_ARMS, VALIDATE_WORKLOADS
 
     if quick_mode():
         return [VALIDATE_WORKLOADS[-1]], {"baseline": ()}, 24_000

@@ -1,9 +1,9 @@
 """Perf guard: fail CI when a bench's wall-clock regresses past the floor.
 
-Compares the wall seconds a ``bench_<id>.py`` run just recorded in
-``results/<exp_id>.json`` against the committed baseline in
-``perf_baseline.json``.  A regression beyond the allowed factor fails
-the job; faster-than-baseline runs print a hint to refresh the
+Compares the wall seconds a ``bench_experiments.py <id>`` run just
+recorded in ``results/<exp_id>.json`` against the committed baseline
+in ``perf_baseline.json``.  A regression beyond the allowed factor
+fails the job; faster-than-baseline runs print a hint to refresh the
 baseline.
 
 Usage (after the bench ran with the same scale knobs the baseline

@@ -13,27 +13,22 @@ from __future__ import annotations
 import os
 
 
-def env_int(name: str, default: int, minimum: int = 1,
-            maximum: int = 0) -> int:
+def env_int(name: str, default: int, minimum: int = 1) -> int:
     """An integer knob; unset/empty means ``default``.
 
-    Values below ``minimum`` — and, when ``maximum`` is given, above it
-    (``REPRO_SERVE_PORT=70000`` is not a port) — and non-integers raise
-    ``ValueError`` with the variable named.
+    Values below ``minimum`` and non-integers raise ``ValueError`` with
+    the variable named.
     """
-    bounds = f">= {minimum}" if not maximum \
-        else f"in [{minimum}, {maximum}]"
     raw = os.environ.get(name, "")
     if not raw:
         return default
+    message = f"{name} must be an integer >= {minimum}, got {raw!r}"
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(
-            f"{name} must be an integer {bounds}, got {raw!r}") from None
-    if value < minimum or (maximum and value > maximum):
-        raise ValueError(
-            f"{name} must be an integer {bounds}, got {raw!r}")
+        raise ValueError(message) from None
+    if value < minimum:
+        raise ValueError(message)
     return value
 
 

@@ -19,8 +19,7 @@ out over a process pool.  Scale knobs come from the environment:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, \
-    Sequence, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Sequence
 
 from ..envknobs import env_flag, env_int
 from ..runner import JobResult, PrefetcherSpec, SimJob, SimRunner, \
@@ -107,17 +106,6 @@ def workload_set(kind: str = "full") -> List[str]:
 
 # -- prefetcher specs ----------------------------------------------------------
 
-def stride_l1():
-    """Legacy zero-arg factory (engine-level API; experiments use specs)."""
-    from ..prefetchers.stride import StridePrefetcher
-    return StridePrefetcher()
-
-
-def berti_l1():
-    from ..prefetchers.berti import BertiPrefetcher
-    return BertiPrefetcher()
-
-
 STRIDE_L1 = spec("stride")
 BERTI_L1 = spec("berti")
 
@@ -126,19 +114,6 @@ PREFETCHER_SPECS: Dict[str, PrefetcherSpec] = {
     "triangel": spec("triangel"),
     "streamline": spec("streamline"),
 }
-
-#: Backwards-compatible alias (older callers iterated factories).
-PREFETCHER_FACTORIES = PREFETCHER_SPECS
-
-
-def _l1_spec(l1) -> Optional[PrefetcherSpec]:
-    """Coerce the ``l1_factory`` argument (spec, name, or the legacy
-    ``stride_l1`` / ``berti_l1`` helpers) to a spec."""
-    if l1 is stride_l1:
-        return STRIDE_L1
-    if l1 is berti_l1:
-        return BERTI_L1
-    return as_spec(l1)
 
 
 # -- run helpers ---------------------------------------------------------------
@@ -161,7 +136,7 @@ class SingleCoreRun:
 def run_matrix(workloads: Sequence[str], n: int,
                configs: Dict[str, object],
                config: Optional[SystemConfig] = None,
-               l1_factory=stride_l1,
+               l1: PrefetcherSpec = STRIDE_L1,
                seed: int = 1234,
                probes: Sequence[str] = (),
                runner: Optional[JobRunner] = None) -> List[SingleCoreRun]:
@@ -174,7 +149,6 @@ def run_matrix(workloads: Sequence[str], n: int,
     """
     config = config or experiment_config()
     runner = runner or get_runner()
-    l1 = _l1_spec(l1_factory)
     specs = {name: as_spec(c) for name, c in configs.items()}
     jobs = []
     for wl in workloads:
@@ -241,7 +215,7 @@ def irregular_subset(workloads: Sequence[str], n: int,
 def run_mixes(num_cores: int, mix_count: int, n_per_core: int,
               configs: Dict[str, object],
               pool: Optional[Sequence[str]] = None,
-              l1_factory=stride_l1,
+              l1: PrefetcherSpec = STRIDE_L1,
               seed: int = 7,
               config: Optional[SystemConfig] = None,
               iso_config: Optional[SystemConfig] = None,
@@ -263,7 +237,6 @@ def run_mixes(num_cores: int, mix_count: int, n_per_core: int,
     config = config or experiment_config(num_cores=num_cores)
     iso_config = iso_config or experiment_config(num_cores=1)
     runner = runner or get_runner()
-    l1 = _l1_spec(l1_factory)
 
     jobs: List[SimJob] = []
     iso_workloads = sorted({wl for mix in mixes for wl in mix})

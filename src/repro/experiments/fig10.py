@@ -132,14 +132,3 @@ def run_fig10f(n: Optional[int] = None,
              "Triangel is largely insensitive")
     return ExperimentResult("fig10f", ["max_degree", "triangel",
                                        "streamline"], rows, notes)
-
-
-def main() -> None:
-    for fn in (run_fig10a, run_fig10b, run_fig10c, run_fig10de,
-               run_fig10f):
-        print(fn().table())
-        print()
-
-
-if __name__ == "__main__":
-    main()

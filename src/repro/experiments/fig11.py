@@ -17,9 +17,8 @@ from typing import Dict, Optional, Sequence
 from ..runner import PrefetcherSpec, SimJob, get_runner, spec
 from ..sim.stats import geomean
 from .common import (BERTI_L1, PREFETCHER_SPECS, STRIDE_L1,
-                     ExperimentResult, berti_l1, env_n,
-                     experiment_config, fmt, quick_mode, run_mixes,
-                     workload_set)
+                     ExperimentResult, env_n, experiment_config, fmt,
+                     quick_mode, run_mixes, workload_set)
 
 L2_REGULARS: Dict[str, PrefetcherSpec] = {
     "ipcp": spec("ipcp"),
@@ -79,7 +78,7 @@ def run_fig11b(n_per_core: Optional[int] = None,
     rows = []
     for cores in core_counts:
         per_mix = run_mixes(cores, mixes, n, PREFETCHER_SPECS,
-                            l1_factory=berti_l1)
+                            l1=BERTI_L1)
         tri = geomean(per_mix["triangel"])
         sl = geomean(per_mix["streamline"])
         rows.append([cores, fmt(tri), fmt(sl), fmt(sl - tri)])
@@ -132,13 +131,3 @@ def run_fig11cd(n: Optional[int] = None,
     return ExperimentResult(
         "fig11cd", ["l2_prefetcher", "alone", "+triangel", "+streamline",
                     "tri_added_cov", "sl_added_cov"], rows, notes)
-
-
-def main() -> None:
-    for fn in (run_fig11a, run_fig11b, run_fig11cd):
-        print(fn().table())
-        print()
-
-
-if __name__ == "__main__":
-    main()

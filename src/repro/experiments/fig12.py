@@ -201,13 +201,3 @@ def run_fig12_intervals(n: Optional[int] = None,
         "fig12ts", ["workload", "interval", "access", "l2_miss",
                     "pf_issued", "pf_fills", "pf_useful", "meta_entries"],
         rows, notes)
-
-
-def main() -> None:
-    for fn in (run_fig12a, run_fig12b, run_fig12c, run_fig12_intervals):
-        print(fn().table())
-        print()
-
-
-if __name__ == "__main__":
-    main()

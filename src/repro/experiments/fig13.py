@@ -13,7 +13,7 @@ hierarchy "1MB" means half the (scaled) LLC, exactly as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..runner import PrefetcherSpec, SimJob, get_runner, spec
 from ..sim.stats import geomean
@@ -138,13 +138,3 @@ def run_fig13c(n: Optional[int] = None,
              f"(paper: TP-Mockingjay is +21.5 pp over Triangel's SRRIP)")
     return ExperimentResult("fig13c", ["workload", "tp-mockingjay",
                                        "srrip"], rows, notes)
-
-
-def main() -> None:
-    for fn in (run_fig13a, run_fig13b, run_fig13c):
-        print(fn().table())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -49,11 +49,3 @@ def run(n: Optional[int] = None,
     return ExperimentResult("fig14", ["variant", "coverage", "accuracy",
                                       "speedup", "offchip_vs_base"],
                             rows, notes)
-
-
-def main() -> None:
-    print(run().table())
-
-
-if __name__ == "__main__":
-    main()

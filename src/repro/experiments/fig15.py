@@ -61,11 +61,3 @@ def run(n: Optional[int] = None, every_nth: int = 4,
              f"unfiltered by reducing pressure")
     return ExperimentResult("fig15", ["variant", "coverage", "speedup"],
                             rows, notes)
-
-
-def main() -> None:
-    print(run().table())
-
-
-if __name__ == "__main__":
-    main()

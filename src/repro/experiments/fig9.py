@@ -95,11 +95,3 @@ def run(n: Optional[int] = None,
                   "on-time / late / unused (telemetry lifecycle tracer, "
                   f"interval={tcfg.interval})")
     return ExperimentResult("fig9", headers, rows, notes)
-
-
-def main() -> None:
-    print(run().table())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,7 @@ simulated, so the cost/fidelity trade is visible in the artifact.
 
 This experiment always samples; for exact results run :mod:`.fig9`.
 Speedups are ratios of *estimates*: per-metric error bounds apply to
-each arm's IPC (``python -m repro.sampling validate`` checks them), so
+each arm's IPC (``python -m repro sampling validate`` checks them), so
 ratio errors can reach roughly twice the per-arm bound.
 """
 
@@ -72,11 +72,3 @@ def run(n: Optional[int] = None,
              f"baseline estimate's relative confidence interval.  For "
              f"exact results run fig9 (or REPRO_SAMPLING=0).")
     return ExperimentResult("fig9s", headers, rows, notes)
-
-
-def main() -> None:
-    print(run().table())
-
-
-if __name__ == "__main__":
-    main()

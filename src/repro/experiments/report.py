@@ -7,14 +7,13 @@ DESIGN.md experiment index as the table of contents.
 
 Usage::
 
-    python -m repro.experiments.report [results_dir] [output.md]
+    python -m repro experiments report [results_dir] [output.md]
 """
 
 from __future__ import annotations
 
 import pathlib
-import sys
-from typing import Dict, List, Optional
+from typing import Dict
 
 #: Paper order for the report sections.
 ORDER = ["table1", "table2", "fig9", "fig9s", "fig10a", "fig10b", "fig10c",
@@ -83,24 +82,3 @@ def assemble(results: Dict[str, str],
         lines.append("```")
         lines.append("")
     return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    results_dir = pathlib.Path(
-        argv[0] if argv else "benchmarks/results")
-    out_path = pathlib.Path(
-        argv[1] if len(argv) > 1 else "benchmarks/results/REPORT.md")
-    if not results_dir.is_dir():
-        print(f"no results directory at {results_dir}; run the benches "
-              f"first (pytest benchmarks/ --benchmark-only)",
-              file=sys.stderr)
-        return 1
-    report = assemble(collect(results_dir))
-    out_path.write_text(report)
-    print(f"wrote {out_path} ({len(report.splitlines())} lines)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

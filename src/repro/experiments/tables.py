@@ -66,13 +66,3 @@ def run_tpmin(n: Optional[int] = None,
         "tpmin", ["workload", "capacity", "min_trigger_hits",
                   "min_corr_hits", "tpmin_corr_hits", "delta"], rows,
         notes)
-
-
-def main() -> None:
-    for fn in (run_table1, run_table2, run_tpmin):
-        print(fn().table())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -20,8 +20,8 @@ Five layers, all opt-in or free-by-default:
 * :mod:`.progress` — the TTY-aware live sweep progress line
   (``REPRO_PROGRESS`` override).
 
-``python -m repro.obs`` (see :mod:`.__main__`) reports over merged run
-logs — including ``report --trace <id>`` span trees and the ``metrics``
+``python -m repro obs`` (see :mod:`repro.__main__`) reports over merged
+run logs — including ``report --trace <id>`` span trees and the metrics
 roll-up.  Telemetry (:mod:`repro.telemetry`) answers what the simulated
 hardware did; obs answers what the simulator did.
 """

@@ -3,8 +3,8 @@
 One :class:`MetricsRegistry` per owner (a serve :class:`Server` owns
 its own, so two servers in one process never merge their numbers),
 rendered on demand as Prometheus text exposition format for
-``GET /metrics`` and as plain dicts for ``python -m repro.obs metrics``
-and the ``metrics`` section of ``job_end`` runlog records.
+``GET /metrics`` and as plain dicts for the ``metrics`` section of
+``job_end`` runlog records, which ``python -m repro obs report`` folds.
 
 Naming convention (enforced at registration): every series is
 ``repro_<subsystem>_<name>_<unit>`` — e.g. ``repro_cache_hits_total``,

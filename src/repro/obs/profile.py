@@ -7,7 +7,7 @@ collect, checkpoint I/O, probes) and the hot-path components inside them
 (per-level cache lookups, DRAM service, per-prefetcher train and issue,
 metadata port traffic).  The profile is attached to single-core
 ``SimResult``s (``SimResult.profile``) and shipped with the run log's
-``job_end`` record, where ``python -m repro.obs report`` aggregates it
+``job_end`` record, where ``python -m repro obs report`` aggregates it
 across a sweep.
 
 Default-off is free: nothing here allocates or runs unless a profiler is

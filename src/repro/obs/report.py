@@ -4,8 +4,9 @@ The runlog gives per-job wall times and cache/prewarm effectiveness;
 ``job_end`` records carry the span profile when ``REPRO_PROFILE`` was
 on.  This module folds one run directory's merged ``runlog.jsonl`` into
 a :class:`RunSummary` and renders it as the markdown report behind
-``python -m repro.obs report``: slowest jobs, time breakdown by
-component, cache/checkpoint effectiveness, and the nested-span table.
+``python -m repro obs report``: slowest jobs, time breakdown by
+component, cache/checkpoint effectiveness, the nested-span table and
+the jobs' metrics.
 Telemetry complements it (what the simulated *hardware* did); the obs
 report is about what the *simulator* did.
 """
@@ -277,6 +278,31 @@ def render(summary: RunSummary, top: int = 10) -> str:
                      "(set `REPRO_PROFILE=1` to collect them)._")
         lines.append("")
 
+    # The jobs' ``job_end`` metrics sections, folded.
+    agg = summary.job_metrics()
+    lines.append(f"## Metrics ({agg['jobs_with_metrics']} job(s) with "
+                 f"metrics)")
+    lines.append("")
+    if agg["jobs_with_metrics"]:
+        lines.extend(_table(
+            ["wall", "events", "events/s", "ckpt restores",
+             "trace store hits"],
+            [[_secs(agg["wall_seconds"]), str(agg["events"]),
+              f"{agg['events_per_second']:.0f}",
+              str(agg["ckpt_restores"]), str(agg["trace_store_hits"])]]))
+        lines.append("")
+        slowest = sorted((j for j in summary.jobs if j.metrics),
+                         key=lambda j: -j.metrics["wall_seconds"])[:5]
+        lines.extend(_table(
+            ["job", "wall", "events/s"],
+            [[j.label, _secs(j.metrics["wall_seconds"]),
+              f"{j.metrics.get('events_per_second', 0.0):.0f}"]
+             for j in slowest]))
+    else:
+        lines.append("_No metrics in this run (it predates the metrics "
+                     "subsystem, or ran with `REPRO_METRICS=0`)._")
+    lines.append("")
+
     return "\n".join(lines)
 
 
@@ -514,70 +540,3 @@ def trace_to_json(trace_id: str,
             "records": len(records),
             "runs": sorted({str(r.get("run_id")) for r in records}),
             "spans": [strip(n) for n in trace_tree(records)]}
-
-
-# -- metrics rendering ---------------------------------------------------------
-
-def render_metrics(summary: RunSummary) -> str:
-    """The ``python -m repro.obs metrics`` text view for one run."""
-    agg = summary.job_metrics()
-    lines = [f"run {summary.run_id}: {agg['jobs_with_metrics']} job(s) "
-             "with metrics"]
-    if not agg["jobs_with_metrics"]:
-        lines.append("  (runs before the metrics subsystem, or "
-                     "REPRO_METRICS=0)")
-        return "\n".join(lines)
-    lines.append(f"  {'wall_seconds':<20} {agg['wall_seconds']:>12.3f}")
-    lines.append(f"  {'events':<20} {agg['events']:>12}")
-    lines.append(f"  {'events_per_second':<20} "
-                 f"{agg['events_per_second']:>12.0f}")
-    lines.append(f"  {'ckpt_restores':<20} {agg['ckpt_restores']:>12}")
-    lines.append(f"  {'trace_store_hits':<20} "
-                 f"{agg['trace_store_hits']:>12}")
-    slowest = sorted((j for j in summary.jobs if j.metrics),
-                     key=lambda j: -j.metrics["wall_seconds"])[:5]
-    if slowest:
-        lines.append("  slowest jobs:")
-        for job in slowest:
-            eps = job.metrics.get("events_per_second", 0.0)
-            lines.append(f"    {job.label:<48} "
-                         f"{job.metrics['wall_seconds']:>8.3f}s "
-                         f"{eps:>10.0f} ev/s")
-    return "\n".join(lines)
-
-
-def top_to_json(summary: RunSummary, top: int = 10) -> Dict[str, Any]:
-    """Stable machine-readable form of the ``top`` view."""
-    profiled = summary.profiled_jobs
-    total_wall = sum(j.profile["wall_seconds"] for j in profiled)
-    comps = sorted(summary.components().items(),
-                   key=lambda kv: -kv[1]["seconds"])[:top]
-    return {
-        "run_id": summary.run_id,
-        "profiled_jobs": len(profiled),
-        "wall_seconds": total_wall,
-        "components": [
-            {"name": name, "seconds": comp["seconds"],
-             "share": comp["seconds"] / total_wall if total_wall else 0.0,
-             "count": comp["count"]}
-            for name, comp in comps],
-    }
-
-
-def render_top(summary: RunSummary, top: int = 10) -> str:
-    """The compact ``top`` view: hottest components only."""
-    profiled = summary.profiled_jobs
-    if not profiled:
-        return ("no span profiles in run "
-                f"{summary.run_id} (set REPRO_PROFILE=1)")
-    total_wall = sum(j.profile["wall_seconds"] for j in profiled)
-    comps = sorted(summary.components().items(),
-                   key=lambda kv: -kv[1]["seconds"])[:top]
-    width = max(len(name) for name, _ in comps)
-    lines = [f"run {summary.run_id}: {len(profiled)} profiled jobs, "
-             f"{_secs(total_wall)}"]
-    for name, comp in comps:
-        share = 100 * comp["seconds"] / total_wall if total_wall else 0.0
-        lines.append(f"  {name:<{width}}  {comp['seconds']:>9.3f}s "
-                     f"{share:5.1f}%  x{comp['count']}")
-    return "\n".join(lines)

@@ -9,7 +9,7 @@ records (job fingerprint, workloads, wall seconds, checkpoint-restore
 flag, and the span profile when ``REPRO_PROFILE`` is on) to its own
 shard.  After the pool drains, the parent merges all shards into one
 ``runlog.jsonl`` ordered by ``(ts, pid, seq)``, which is what
-``python -m repro.obs`` reports over.
+``python -m repro obs`` reports over.
 
 Records are one JSON object per line with a common envelope::
 

@@ -16,7 +16,7 @@ never re-minted:
   into every record it emits, and the span profiler stamps it onto each
   job's profile payload.
 
-``python -m repro.obs report --trace <id>`` then reconstructs the full
+``python -m repro obs report --trace <id>`` then reconstructs the full
 tree of one request across server and worker shards.
 
 Each hop mints a *child* context: same ``trace_id``, fresh ``span_id``,

@@ -8,7 +8,7 @@ once.  Level 2 persists pickled :class:`JobResult`s in a
 re-running a bench after an unrelated code change is near-instant.
 The store digest-checks every read and evicts a corrupt entry to a
 miss (counted in ``CacheStats.evictions``, warned about, and logged as
-a ``cache_evict`` run-log record); ``python -m repro.store results``
+a ``cache_evict`` run-log record); ``python -m repro store results``
 lists, verifies and garbage-collects it.
 
 Knobs:

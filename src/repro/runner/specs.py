@@ -12,7 +12,7 @@ The registry covers every baseline plus the Figure 14 ablation variants
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.streamline import StreamlinePrefetcher

@@ -16,7 +16,7 @@ in-memory :class:`~repro.sim.trace.Trace` that ``make`` builds
 
 The store counts its hits and misses (:func:`store_stats`); job_end
 run-log records report them per job for cache-effectiveness review
-(``python -m repro.obs report``).
+(``python -m repro obs report``).
 """
 
 from __future__ import annotations

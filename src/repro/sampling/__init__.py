@@ -21,19 +21,16 @@ cheap by simulating only *representative* intervals:
    shared), and extrapolates whole-trace estimates with per-metric
    confidence intervals and declared error bounds.
 
-``python -m repro.sampling`` exposes ``plan`` / ``run`` / ``validate``
-/ ``report``; ``validate`` runs sampled-vs-full and asserts every
+``python -m repro sampling`` exposes ``plan`` / ``run`` /
+``validate``; ``validate`` runs sampled-vs-full and asserts every
 observed error is inside its declared bound.
 
 Sampling runs only where an experiment asks for it (``fig9s``);
 windowed jobs key their *own* cache entries via ``SimJob.window``, so a
 sampled estimate can never impersonate a full run's cached result.
 
-Knobs (validated; errors name the variable):
-
-* ``REPRO_SAMPLING_DIR`` — plan-store root (default
-  ``benchmarks/.splans``).
-* ``REPRO_SAMPLING_K`` — override the number of representatives.
+``REPRO_SAMPLING_DIR`` relocates the plan store (default
+``benchmarks/.splans``).
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from .execute import (METRIC_FLOORS, METRICS, SampledEstimate, combine,
                       run_sampled, sampled_jobs, validate_sampling)
 from .features import (FEATURE_NAMES, FEATURE_SCHEMA_VERSION,
                        FeatureMatrix, extract_features)
-from .knobs import sampling_k
 from .plan import (DEFAULT_ERROR_BOUNDS, PlanStore, Representative,
                    SamplingPlan, build_plan, default_interval, default_k,
                    get_plan)
@@ -57,5 +53,4 @@ __all__ = [
     "get_plan",
     "METRICS", "METRIC_FLOORS", "SampledEstimate", "combine",
     "run_sampled", "sampled_jobs", "validate_sampling",
-    "sampling_k",
 ]

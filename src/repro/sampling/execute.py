@@ -33,7 +33,6 @@ from ..obs import runlog as obs_runlog
 from ..runner import JobResult, SimJob, get_runner
 from ..sim.config import SystemConfig
 from ..sim.stats import SimResult
-from .knobs import sampling_k
 from .plan import PlanStore, SamplingPlan, get_plan
 
 #: Metrics the extrapolator estimates, in report order.
@@ -160,7 +159,7 @@ def run_sampled(workload: str, n: int, config: SystemConfig,
     from ..workloads import DEFAULT_SEED
     seed = DEFAULT_SEED if seed is None else seed
     plan = get_plan(workload, n, seed=seed, interval=interval,
-                    k=sampling_k(k), warmup=warmup, store=store)
+                    k=k, warmup=warmup, store=store)
     runner = runner or get_runner()
     results = runner.run(sampled_jobs(plan, config, l1=l1, l2=l2))
     estimate = combine(plan, results)

@@ -1,6 +1,6 @@
 """Simulation-as-a-service: an async job server over the result cache.
 
-``python -m repro.serve`` promotes :mod:`repro.runner` from a library
+``python -m repro serve run`` promotes :mod:`repro.runner` from a library
 into a long-running service: a stdlib-only asyncio HTTP/JSON API that
 accepts :class:`~repro.runner.SimJob` batches in their canonical
 fingerprint JSON (:mod:`repro.serve.wire`), routes them through an

@@ -52,7 +52,7 @@ class ServeClient:
         self.timeout = timeout
         self.poll_timeout = poll_timeout
         #: The trace context of the most recent :meth:`submit` — the
-        #: handle callers pass to ``python -m repro.obs report --trace``.
+        #: handle callers pass to ``python -m repro obs report --trace``.
         self.last_context: Optional[obs_trace.TraceContext] = None
 
     # -- low-level HTTP --------------------------------------------------------

@@ -22,7 +22,7 @@ one implementation of the machinery around it:
   has a run-log writer, otherwise from the runner's next batch
   (:func:`drain_evictions`).
 * **Maintenance.** ``entries`` (oldest first), ``verify`` and ``gc``,
-  driven by ``python -m repro.store <store> list|verify|gc``.
+  driven by ``python -m repro store <store> list|verify|gc``.
 
 The trace store (:class:`repro.tracestream.store.TraceStore`) keeps its
 chunked directory layout but subclasses :class:`Store` for everything

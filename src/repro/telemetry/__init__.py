@@ -11,8 +11,8 @@ The observability subsystem over the hierarchy's
   following each prefetch from issue through fill to first demand use or
   eviction, classified on-time / late / unused / in-flight.
 * :mod:`repro.telemetry.export` / :mod:`repro.telemetry.report` — JSONL
-  export with a checked-in schema, and text reports; both also power the
-  ``python -m repro.telemetry`` CLI.
+  export with a checked-in schema, and text reports; both also power
+  ``python -m repro telemetry run|validate``.
 
 Opt in by putting a :class:`TelemetryConfig` on
 ``SystemConfig(telemetry=...)``; add the ``"telemetry"`` probe to a

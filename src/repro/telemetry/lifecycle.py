@@ -34,7 +34,7 @@ map and binds them when the issue event names the owner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..memory.events import EV, EventBus, HierarchyEvent

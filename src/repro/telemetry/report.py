@@ -3,8 +3,8 @@
 Turns one harness export (or a cached ``telemetry`` probe payload —
 same thing) into the two tables the paper's discussion needs: the
 interval time-series (what happened when) and the timeliness breakdown
-(whether each prefetcher's wins arrived before the demand).  Used by the
-``python -m repro.telemetry`` CLI and handy from notebooks.
+(whether each prefetcher's wins arrived before the demand).  Used by
+``python -m repro telemetry run`` and handy from notebooks.
 
 Self-contained on purpose: this module formats plain dicts and must not
 import ``repro.sim`` (``repro.sim.config`` imports the telemetry

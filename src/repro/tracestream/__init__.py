@@ -11,8 +11,9 @@ replays via :class:`StreamingTrace`, record-for-record identical to the
 in-memory :class:`~repro.sim.trace.Trace`.  ``REPRO_TRACE_DIR``
 overrides the store root (default ``benchmarks/.traces``).
 
-``python -m repro.tracestream gen`` generates a workload into the
-store; ``python -m repro.store traces list|verify|gc`` maintains it.
+The first :func:`repro.runner.get_trace` of a workload generates it
+into the store; ``python -m repro store traces list|verify|gc``
+maintains it.
 """
 
 from .chunk import (CHUNK_RECORDS, ChunkedSource, TraceChunk,

@@ -274,7 +274,7 @@ class TraceStore(Store):
             trace = self.put(workload, n, seed, generate())
         return trace
 
-    # -- maintenance (``python -m repro.store traces ...``) ----------------
+    # -- maintenance (``python -m repro store traces ...``) ----------------
 
     def entries(self) -> List[str]:
         if not self.directory.is_dir():

@@ -350,17 +350,17 @@ class TestReportCli:
         assert "Time by component" in text
         assert "Span tree" in text
         assert "gap.pr" in text
-        top = report.render_top(summary)
-        assert "4 profiled jobs" in top
+        assert "## Time by component (4 profiled jobs" in text
+        assert "## Metrics (4 job(s) with metrics)" in text
 
     def test_cli_smoke(self, sweep_dir):
         env = dict(os.environ,
                    REPRO_OBS_DIR=str(sweep_dir),
                    PYTHONPATH=str(pathlib.Path("src").resolve()))
-        for args in (["list"], ["report"], ["top"],
+        for args in (["list"], ["report"], ["report", "--json"],
                      ["report", "--top", "3"]):
             proc = subprocess.run(
-                [sys.executable, "-m", "repro.obs"] + args,
+                [sys.executable, "-m", "repro", "obs"] + args,
                 env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip()
@@ -370,7 +370,7 @@ class TestReportCli:
                    REPRO_OBS_DIR=str(sweep_dir),
                    PYTHONPATH=str(pathlib.Path("src").resolve()))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.obs", "report", "nope"],
+            [sys.executable, "-m", "repro", "obs", "report", "nope"],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         assert "no run matches" in proc.stderr
@@ -380,7 +380,7 @@ class TestReportCli:
                    REPRO_OBS_DIR=str(sweep_dir),
                    PYTHONPATH=str(pathlib.Path("src").resolve()))
         return subprocess.run(
-            [sys.executable, "-m", "repro.obs"] + list(args),
+            [sys.executable, "-m", "repro", "obs"] + list(args),
             env=env, capture_output=True, text=True, timeout=120)
 
     def test_cli_list_columns(self, sweep_dir):
@@ -401,14 +401,13 @@ class TestReportCli:
         assert rep["shards"] >= 1 and rep["started"] > 0
         assert len(rep["slowest_jobs"]) == 4
         assert rep["metrics"]["jobs_with_metrics"] == 4
-        top = json.loads(self._cli(sweep_dir, "top", "--json").stdout)
-        assert top["profiled_jobs"] == 4 and top["components"]
-        met = self._cli(sweep_dir, "metrics")
-        assert met.returncode == 0 and "events" in met.stdout
-        met_json = json.loads(self._cli(sweep_dir, "metrics",
-                                        "--json").stdout)
-        assert met_json["jobs_with_metrics"] == 4
-        assert met_json["run_id"] == runlog.list_runs(sweep_dir)[0].name
+        assert rep["metrics"]["events"] > 0
+        assert "lookup:l1d" in rep["components"]
+        assert rep["run_id"] == runlog.list_runs(sweep_dir)[0].name
+        text = self._cli(sweep_dir, "report")
+        assert text.returncode == 0
+        metrics = text.stdout[text.stdout.index("## Metrics"):]
+        assert "events/s" in metrics and "gap.bfs" in metrics
 
     def test_cli_trace(self, sweep_dir):
         records = runlog.load_runlog(
@@ -423,6 +422,17 @@ class TestReportCli:
         missing = self._cli(sweep_dir, "report", "--trace", "f" * 32)
         assert missing.returncode == 1
         assert "no records carry trace" in missing.stderr
+        # A prefix two traces share names neither: one line, exit 1.
+        other = sweep_dir / "other-run"
+        other.mkdir()
+        (other / runlog.MERGED).write_text(json.dumps(
+            {"ts": 0.0, "pid": 1, "seq": 0, "event": "run_start",
+             "trace_id": trace_id[:10] + "0" * 22}) + "\n")
+        ambiguous = self._cli(sweep_dir, "report", "--trace",
+                              trace_id[:10])
+        assert ambiguous.returncode == 1
+        assert ambiguous.stderr.count("\n") == 1
+        assert "is ambiguous" in ambiguous.stderr
 
 
 # -- runlog tailer (the serve event stream's source) ---------------------------

@@ -1,8 +1,7 @@
 """Tests for the results-report assembler."""
 
-import pathlib
-
-from repro.experiments.report import ORDER, TITLES, assemble, collect, main
+from repro.__main__ import main
+from repro.experiments.report import ORDER, TITLES, assemble
 
 
 def test_order_covers_all_experiments():
@@ -28,9 +27,10 @@ def test_collect_and_main(tmp_path):
     results.mkdir()
     (results / "fig9.txt").write_text("hello fig9")
     out = tmp_path / "report.md"
-    assert main([str(results), str(out)]) == 0
+    assert main(["experiments", "report", str(results), str(out)]) == 0
     assert "hello fig9" in out.read_text()
 
 
 def test_main_missing_dir(tmp_path):
-    assert main([str(tmp_path / "nope"), str(tmp_path / "r.md")]) == 1
+    assert main(["experiments", "report", str(tmp_path / "nope"),
+                 str(tmp_path / "r.md")]) == 1

@@ -17,7 +17,7 @@ from repro.runner import SimJob, SimRunner, execute_job, spec
 from repro.sampling import (DEFAULT_ERROR_BOUNDS, FEATURE_NAMES,
                             PlanStore, build_plan, extract_features,
                             get_plan, kmeans, pick_representatives,
-                            sampled_jobs, sampling_k, validate_sampling)
+                            sampled_jobs, validate_sampling)
 from repro.sampling.plan import plan_key
 
 CFG = experiment_config()
@@ -201,18 +201,6 @@ class TestEstimateAccuracy:
 # -- knobs ---------------------------------------------------------------------
 
 class TestKnobs:
-    def test_k_validation_names_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAMPLING_K", "0")
-        with pytest.raises(ValueError, match="REPRO_SAMPLING_K"):
-            sampling_k()
-        monkeypatch.setenv("REPRO_SAMPLING_K", "junk")
-        with pytest.raises(ValueError, match="REPRO_SAMPLING_K"):
-            sampling_k()
-        monkeypatch.setenv("REPRO_SAMPLING_K", "5")
-        assert sampling_k() == 5
-        monkeypatch.delenv("REPRO_SAMPLING_K")
-        assert sampling_k(7) == 7
-
     def test_dir_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SAMPLING_DIR", str(tmp_path))
         assert PlanStore().directory == tmp_path

@@ -416,18 +416,6 @@ class TestServeKnobs:
         monkeypatch.setenv("REPRO_SERVE_URL", "http://host:8023/")
         assert env_url("REPRO_SERVE_URL") == "http://host:8023"
 
-    def test_serve_port_validated_loudly(self, monkeypatch):
-        from repro.envknobs import env_int
-        monkeypatch.setenv("REPRO_SERVE_PORT", "99999")
-        with pytest.raises(ValueError, match="REPRO_SERVE_PORT"):
-            env_int("REPRO_SERVE_PORT", 8023, minimum=0, maximum=65535)
-        monkeypatch.setenv("REPRO_SERVE_PORT", "junk")
-        with pytest.raises(ValueError, match="REPRO_SERVE_PORT"):
-            env_int("REPRO_SERVE_PORT", 8023, minimum=0, maximum=65535)
-        monkeypatch.setenv("REPRO_SERVE_PORT", "8024")
-        assert env_int("REPRO_SERVE_PORT", 8023,
-                       minimum=0, maximum=65535) == 8024
-
 
 # -- observability plane: /metrics, /v1/healthz, trace propagation -------------
 

@@ -5,7 +5,7 @@ sampling-plan store and the trace store.  They must behave the same
 way: a corrupt entry reads as a miss, is removed, is counted once,
 warns once and leaves one ``cache_evict`` run-log record naming the
 store; keys are plain names that cannot reach outside the store; and
-``python -m repro.store <store> list|verify|gc`` maintains each one.
+``python -m repro store <store> list|verify|gc`` maintains each one.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.checkpoint import CheckpointStore, get_store
 from repro.obs import runlog
 from repro.runner import ResultCache, SimJob
@@ -24,7 +25,6 @@ from repro.sampling.plan import (DEFAULT_ERROR_BOUNDS, PlanStore,
                                  Representative, SamplingPlan)
 from repro.sim.config import SystemConfig
 from repro.store import StoreCorrupt, drain_evictions
-from repro.store.__main__ import main
 from repro.tracestream.store import TraceStore, entry_key
 from repro.workloads import make_chunks
 
@@ -221,7 +221,7 @@ def test_cli_list_verify_gc(name, tmp_path, capsys, result):
         key, _, entry = _fill(name, store, i, result)
         keys.append(key)
         entries.append(entry)
-    argv = [name, "--dir", str(directory)]
+    argv = ["store", name, "--dir", str(directory)]
 
     assert main(argv + ["list"]) == 0
     out = capsys.readouterr().out
