@@ -12,12 +12,10 @@ Three guarantees, asserted every run:
    warmup, measure, collect, ...) sum to within 10% of the profiled
    job's wall-clock, and the profiler-on overhead stays <= 25% over the
    off run.
-4. **The trace/metrics plane is near-free** (ISSUE 10) — executing a
-   job with ``REPRO_TRACE=1 REPRO_METRICS=1`` under a live trace
-   context produces a ``SimResult`` bit-identical to the
-   ``REPRO_TRACE=0 REPRO_METRICS=0`` run (no masking needed: contexts
-   and metrics ride the runlog, never the result), and the on-path
-   overhead stays <= 10%.
+4. **Tracing is near-free** — ``execute_job(job, traceparent)`` under a
+   live trace context produces a ``SimResult`` bit-identical to
+   ``execute_job(job, None)`` (no masking needed: contexts ride the
+   runlog, never the result), and the on-path overhead stays <= 10%.
 
 Run standalone: ``python benchmarks/bench_obs_overhead.py``
 """
@@ -32,11 +30,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 WORKLOAD = "gap.pr"
 
-#: Acceptance bounds (ISSUE 5): profiled overhead and phase-sum error.
+#: Acceptance bounds: profiled overhead and phase-sum error.
 MAX_OVERHEAD = 0.25
 MAX_PHASE_ERROR = 0.10
 
-#: Acceptance bound (ISSUE 10): tracing + metrics on-path overhead.
+#: Acceptance bound: traced-execution on-path overhead.
 MAX_OBS_PLANE_OVERHEAD = 0.10
 
 
@@ -62,43 +60,35 @@ def _timed_execute(job, profile: bool):
     return result, time.perf_counter() - t0
 
 
-def _timed_execute_plane(job, on: bool):
-    """One :func:`execute_job` pass with the trace/metrics plane forced
-    on (under a fresh root context) or forced off."""
-    from repro.obs import metrics as obs_metrics
+def _timed_execute_traced(job, traced: bool):
+    """One :func:`execute_job` pass under a fresh root context's
+    traceparent, or with none."""
     from repro.obs import trace as obs_trace
     from repro.runner.jobs import execute_job
 
-    value = "1" if on else "0"
-    os.environ["REPRO_TRACE"] = value
-    os.environ["REPRO_METRICS"] = value
-    assert obs_trace.enabled() == on
-    assert obs_metrics.enabled() == on
-    traceparent = obs_trace.new_context().to_traceparent() if on else None
+    traceparent = obs_trace.new_context().to_traceparent() \
+        if traced else None
     t0 = time.perf_counter()
-    try:
-        result = execute_job(job, traceparent)
-    finally:
-        os.environ.pop("REPRO_TRACE", None)
-        os.environ.pop("REPRO_METRICS", None)
+    result = execute_job(job, traceparent)
     return result, time.perf_counter() - t0
 
 
 def _check_plane(job):
-    """Guarantee 4; returns (off seconds, on seconds, overhead)."""
-    off_a, off_secs_a = _timed_execute_plane(job, on=False)
-    off_b, off_secs_b = _timed_execute_plane(job, on=False)
+    """Guarantee 4; returns (untraced seconds, traced seconds,
+    overhead)."""
+    off_a, off_secs_a = _timed_execute_traced(job, traced=False)
+    off_b, off_secs_b = _timed_execute_traced(job, traced=False)
     assert off_a.single == off_b.single, \
-        "trace/metrics-off runs are not bit-identical"
-    on_a, on_secs_a = _timed_execute_plane(job, on=True)
-    on_b, on_secs_b = _timed_execute_plane(job, on=True)
+        "untraced runs are not bit-identical"
+    on_a, on_secs_a = _timed_execute_traced(job, traced=True)
+    on_b, on_secs_b = _timed_execute_traced(job, traced=True)
     assert on_a.single == off_a.single, \
-        "tracing + metrics perturbed the SimResult"
+        "tracing perturbed the SimResult"
     off_secs = min(off_secs_a, off_secs_b)
     on_secs = min(on_secs_a, on_secs_b)
     overhead = on_secs / off_secs - 1.0 if off_secs else 0.0
     assert overhead <= MAX_OBS_PLANE_OVERHEAD, \
-        f"trace/metrics on-path overhead {100 * overhead:.1f}% > " \
+        f"traced on-path overhead {100 * overhead:.1f}% > " \
         f"{100 * MAX_OBS_PLANE_OVERHEAD:.0f}%"
     return off_secs, on_secs, overhead
 
@@ -137,7 +127,7 @@ def test_obs_overhead(benchmark):
         if off_secs else 0.0
     benchmark.extra_info["phase_error"] = error
     _, _, plane_overhead = _check_plane(job)
-    benchmark.extra_info["trace_metrics_overhead"] = plane_overhead
+    benchmark.extra_info["trace_overhead"] = plane_overhead
 
 
 def main() -> None:
@@ -165,7 +155,7 @@ def main() -> None:
         f"(bound {100 * MAX_PHASE_ERROR:.0f}%)",
         "profiler-off runs bit-identical: yes",
         "profiled SimResult identical to off (profile masked): yes",
-        f"trace+metrics plane: off {plane_off:.3f}s on {plane_on:.3f}s "
+        f"tracing: untraced {plane_off:.3f}s traced {plane_on:.3f}s "
         f"-> overhead {100 * plane_overhead:+.1f}% "
         f"(bound {100 * MAX_OBS_PLANE_OVERHEAD:.0f}%), "
         "results bit-identical: yes",

@@ -7,8 +7,8 @@ verbs::
 
     experiments  list | <id>... | all | report [DIR] [OUT]
     store        <store> [--dir D] list | verify [KEY] | gc [--keep N]
-    obs          list | report [RUN] [--json] [--top N]
-                 [--compare A B] [--trace ID]
+    obs          list | report [RUN | --compare A B | --trace ID]
+                 [--json] [--top N]
     serve        run [--host H] [--port P] | ping [URL] [--wait S]
     sampling     plan <workload> | run <workload> | validate
     telemetry    run <workload> | validate <file.jsonl>
@@ -20,9 +20,10 @@ names another directory.  Experiments scale with ``REPRO_N`` /
 :mod:`repro.experiments.common`).
 
 Exit codes: 0 ok, 1 a check failed or nothing matched, 2 a usage
-error.  Bad input (an unknown experiment, a store key that is not a
-plain name, a negative count, a missing file) is rejected while
-parsing, with ``error:`` on stderr and no traceback.
+error.  Bad input (an unknown experiment, workload or prefetcher, a
+store key that is not a plain name, a count out of range, a port
+outside 0-65535, a missing file) is rejected while parsing, with
+``error:`` on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .experiments.common import experiment_config
 from .experiments.report import TITLES, assemble, collect
 from .obs import report, runlog
 from .runner import ResultCache, SimJob, SimRunner, get_runner, spec
+from .runner.specs import resolve
 from .sampling import PlanStore, get_plan, run_sampled, validate_sampling
 from .serve import JobBroker, Server, ServeClient, ServeUnavailable
 from .sim.config import SystemConfig
@@ -52,7 +54,7 @@ from .telemetry.export import SCHEMA, load_schema, validate_jsonl, \
     write_jsonl
 from .telemetry.report import render as render_telemetry
 from .tracestream.store import TraceStore
-from .workloads import DEFAULT_SEED
+from .workloads import DEFAULT_SEED, names
 
 #: Store name -> constructor over a directory (None: the store's knob,
 #: else its default).
@@ -90,6 +92,53 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _positive(text: str) -> int:
+    """An integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _power_of_two(text: str) -> int:
+    """An integer power of two (1, 2, 4, ...)."""
+    if not text.isdecimal() or bin(int(text)).count("1") != 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a power of two, got {text!r}")
+    return int(text)
+
+
+def _port(text: str) -> int:
+    """A TCP port, 0 (OS-assigned) to 65535."""
+    if not text.isdecimal() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port from 0 to 65535, got {text!r}")
+    return int(text)
+
+
+def _workload(text: str) -> str:
+    """A workload name."""
+    if text not in names():
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {text!r}; choose from "
+            f"{', '.join(names())}")
+    return text
+
+
+def _prefetcher(text: str) -> str:
+    """A prefetcher spec name (:func:`repro.runner.specs.resolve`)."""
+    try:
+        resolve(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _prefetcher_or_none(text: str) -> str:
+    """A prefetcher spec name, or ``''`` for none."""
+    return _prefetcher(text) if text else text
 
 
 def _experiment(text: str) -> str:
@@ -242,6 +291,10 @@ def obs_list(args: argparse.Namespace) -> int:
 
 
 def obs_report(args: argparse.Namespace) -> int:
+    if args.compare and args.json:
+        print("python -m repro obs report: error: --json does not "
+              "apply to --compare", file=sys.stderr)
+        return 2
     if args.trace:
         try:
             records = report.collect_trace(args.trace)
@@ -285,12 +338,13 @@ def serve_run(args: argparse.Namespace) -> int:
     runner = SimRunner(jobs=args.jobs)
     broker = JobBroker(runner=runner, max_batch=args.max_batch)
     server = Server(broker, host=args.host, port=args.port)
+    cache = broker.cache
+    where = cache.directory if cache.persistent else "memory-only"
 
     async def serve() -> None:
         await server.start()
         print(f"repro.serve listening on {server.url} "
-              f"({runner.workers} worker(s), cache "
-              f"{broker.cache.directory})", flush=True)
+              f"({runner.workers} worker(s), cache {where})", flush=True)
         try:
             await asyncio.Event().wait()
         finally:
@@ -496,18 +550,21 @@ def _add_obs(sub) -> None:
     v = verbs.add_parser("report", help="markdown report for one run: "
                                         "jobs, components, phases, "
                                         "spans, metrics")
-    v.add_argument("run_id", nargs="?", default=None,
-                   help="run id prefix (default: latest run)")
+    what = v.add_mutually_exclusive_group()
+    what.add_argument("run_id", nargs="?", default=None,
+                      help="run id prefix (default: latest run)")
+    what.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      default=None,
+                      help="diff two runs (id prefixes) side by side: "
+                           "wall, matched jobs, components, phases")
+    what.add_argument("--trace", default=None, metavar="TRACE_ID",
+                      help="reconstruct one request's span tree across "
+                           "every run (full trace id or unique prefix)")
     v.add_argument("--top", type=_count, default=10,
                    help="rows in the slowest-jobs table")
-    v.add_argument("--compare", nargs=2, metavar=("A", "B"), default=None,
-                   help="diff two runs (id prefixes) side by side: "
-                        "wall, matched jobs, components, phases")
-    v.add_argument("--trace", default=None, metavar="TRACE_ID",
-                   help="reconstruct one request's span tree across "
-                        "every run (full trace id or unique prefix)")
     v.add_argument("--json", action="store_true",
-                   help="machine-readable output with stable keys")
+                   help="machine-readable output with stable keys "
+                        "(not with --compare)")
     v.set_defaults(run=obs_report)
 
 
@@ -516,13 +573,13 @@ def _add_serve(sub) -> None:
     verbs = _verbs(p)
     v = verbs.add_parser("run", help="run a server until interrupted")
     v.add_argument("--host", default="127.0.0.1")
-    v.add_argument("--port", type=int, default=DEFAULT_PORT,
+    v.add_argument("--port", type=_port, default=DEFAULT_PORT,
                    help=f"bind port (default {DEFAULT_PORT}; "
                         f"0 = OS-assigned)")
-    v.add_argument("--jobs", type=int, default=None,
+    v.add_argument("--jobs", type=_positive, default=None,
                    help="SimRunner worker processes "
                         "(default: REPRO_JOBS / all cores)")
-    v.add_argument("--max-batch", type=int, default=64,
+    v.add_argument("--max-batch", type=_positive, default=64,
                    help="max jobs per runner batch (default 64)")
     v.set_defaults(run=serve_run)
     v = verbs.add_parser("ping", help="health-check an instance")
@@ -534,14 +591,14 @@ def _add_serve(sub) -> None:
 
 
 def _sampling_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=120_000,
+    p.add_argument("--n", type=_positive, default=120_000,
                    help="trace length in accesses (default 120000: "
                         "long enough that the full run's measured "
                         "region is past the cache-fill transient)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--interval", type=int, default=None,
+    p.add_argument("--interval", type=_positive, default=None,
                    help="interval length (default: scale with n)")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_positive, default=None,
                    help="representative count (default: scale with "
                         "candidates)")
 
@@ -552,24 +609,26 @@ def _add_sampling(sub) -> None:
     verbs = _verbs(p)
     v = verbs.add_parser("plan", help="build (or restore) a sampling "
                                       "plan and print it")
-    v.add_argument("workload")
+    v.add_argument("workload", type=_workload)
     _sampling_args(v)
     v.set_defaults(run=sampling_plan)
     v = verbs.add_parser("run", help="sampled execution + extrapolation")
-    v.add_argument("workload")
+    v.add_argument("workload", type=_workload)
     _sampling_args(v)
-    v.add_argument("--l1", default="stride",
+    v.add_argument("--l1", type=_prefetcher, default="stride",
                    help="L1 prefetcher spec name (default stride)")
-    v.add_argument("--l2", action="append", default=None,
+    v.add_argument("--l2", type=_prefetcher, action="append",
+                   default=None,
                    help="L2 prefetcher spec name (repeatable; default "
                         "none)")
     v.set_defaults(run=sampling_run)
     v = verbs.add_parser("validate", help="sampled-vs-full error check "
                                           "(exit 1 if any bound is "
                                           "exceeded)")
-    v.add_argument("--workloads", nargs="*", default=None)
+    v.add_argument("--workloads", nargs="*", type=_workload,
+                   default=None)
     _sampling_args(v)
-    v.add_argument("--l1", default="stride")
+    v.add_argument("--l1", type=_prefetcher, default="stride")
     v.set_defaults(run=sampling_validate)
 
 
@@ -579,15 +638,17 @@ def _add_telemetry(sub) -> None:
     verbs = _verbs(p)
     v = verbs.add_parser("run", help="simulate (or fetch from the result "
                                      "cache) one run with telemetry")
-    v.add_argument("workload")
-    v.add_argument("--prefetcher", default="streamline",
+    v.add_argument("workload", type=_workload)
+    v.add_argument("--prefetcher", type=_prefetcher_or_none,
+                   default="streamline",
                    help="L2 prefetcher spec name ('' for none)")
-    v.add_argument("--l1", default="stride")
-    v.add_argument("--n", type=int, default=40_000)
-    v.add_argument("--interval", type=int, default=1000)
+    v.add_argument("--l1", type=_prefetcher, default="stride")
+    v.add_argument("--n", type=_positive, default=40_000)
+    v.add_argument("--interval", type=_positive, default=1000)
     v.add_argument("--seed", type=int, default=1234)
-    v.add_argument("--scale", type=int, default=4,
-                   help="hierarchy scale-down factor (DESIGN.md §4)")
+    v.add_argument("--scale", type=_power_of_two, default=4,
+                   help="hierarchy scale-down factor, a power of two "
+                        "(DESIGN.md §4)")
     v.add_argument("--rows", type=int, default=20)
     v.add_argument("--jsonl", help="also export records to this path")
     v.set_defaults(run=telemetry_run)

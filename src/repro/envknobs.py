@@ -32,26 +32,6 @@ def env_int(name: str, default: int, minimum: int = 1) -> int:
     return value
 
 
-def env_tristate(name: str):
-    """A three-state knob: ``None`` (defer to the caller's default),
-    ``False``, or ``True``.
-
-    Unset, empty, and ``auto`` all mean "defer"; ``0``/``1`` force the
-    knob off/on; anything else raises ``ValueError`` naming the
-    variable.  ``REPRO_PROGRESS``, ``REPRO_TRACE`` and
-    ``REPRO_METRICS`` use it.
-    """
-    raw = os.environ.get(name, "")
-    if raw in ("", "auto"):
-        return None
-    if raw == "0":
-        return False
-    if raw == "1":
-        return True
-    raise ValueError(
-        f"{name} must be unset, '', 'auto', '0', or '1', got {raw!r}")
-
-
 def env_dir(name: str):
     """A directory-path knob: unset/empty -> ``None`` (caller default).
 

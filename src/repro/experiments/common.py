@@ -2,18 +2,17 @@
 
 Every figure/table module builds on these helpers so the benches stay
 declarative.  All simulations are expressed as :class:`repro.runner.SimJob`
-batches and submitted through the shared :class:`repro.runner.SimRunner`,
-which dedups them against a two-level result cache and fans cold work
-out over a process pool.  Scale knobs come from the environment:
+batches and submitted through :func:`job_runner`: the shared
+:class:`repro.runner.SimRunner`, which dedups them against a two-level
+result cache and fans cold work out over a process pool, or a job server
+when ``REPRO_SERVE_URL`` names one.  Scale knobs come from the
+environment:
 
 * ``REPRO_N`` - accesses per trace (default 60000; tests use less).
 * ``REPRO_QUICK`` - set to 1 to shrink every experiment to a handful of
   representative workloads and fewer mixes.
 * ``REPRO_JOBS`` - simulation worker processes (1 = in-process serial).
 * ``REPRO_CACHE=0`` - disable the on-disk result cache.
-* ``REPRO_TELEMETRY=1`` - enable telemetry in supporting experiments
-  (fig9 gains timeliness columns); ``REPRO_TELEMETRY_INTERVAL`` tunes
-  the sampling period.  Off by default so goldens stay bit-identical.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Protocol, Sequence
 
 from ..envknobs import env_flag, env_int
-from ..runner import JobResult, PrefetcherSpec, SimJob, SimRunner, \
-    as_spec, get_runner, spec
+from ..runner import JobResult, PrefetcherSpec, SimJob, as_spec, \
+    get_runner, spec
 from ..sim.config import SystemConfig
 from ..sim.stats import SimResult, format_table, geomean
-from ..telemetry import TelemetryConfig
 from ..workloads import generate_mixes
 
 #: The experiments run on a 1/4-scale hierarchy (see DESIGN.md §4).
@@ -67,23 +65,18 @@ def quick_mode() -> bool:
     return env_flag("REPRO_QUICK", False)
 
 
-def telemetry_config() -> Optional[TelemetryConfig]:
-    """The env-driven telemetry opt-in (None unless ``REPRO_TELEMETRY=1``)."""
-    return TelemetryConfig.from_env()
-
-
-def serve_runner():
-    """A :class:`repro.serve.ServeRunner` when ``REPRO_SERVE_URL``
-    names a job server, else None (meaning: use the in-process default
-    runner, exactly as before the serve subsystem existed).
+def job_runner() -> JobRunner:
+    """The runner every experiment submits its jobs to: a
+    :class:`repro.serve.ServeRunner` when ``REPRO_SERVE_URL`` names a
+    job server, else the in-process default :func:`get_runner`.
 
     Routing through the server is a pure execution strategy — the URL
     never enters job fingerprints, and served results are byte-identical
-    to direct runs — so experiments that accept a ``runner=`` argument
-    become thin clients with no change to what they compute.
+    to direct runs — so every experiment becomes a thin client with no
+    change to what it computes.
     """
     from ..serve.client import ServeRunner
-    return ServeRunner.from_env()
+    return ServeRunner.from_env() or get_runner()
 
 
 def experiment_config(num_cores: int = 1, **overrides) -> SystemConfig:
@@ -148,7 +141,7 @@ def run_matrix(workloads: Sequence[str], n: int,
     another figure already computed) come from the cache.
     """
     config = config or experiment_config()
-    runner = runner or get_runner()
+    runner = runner or job_runner()
     specs = {name: as_spec(c) for name, c in configs.items()}
     jobs = []
     for wl in workloads:
@@ -194,7 +187,7 @@ def irregular_subset(workloads: Sequence[str], n: int,
     runs here.
     """
     config = config or experiment_config()
-    runner = runner or get_runner()
+    runner = runner or job_runner()
     ideal = spec("ideal-triage")
     jobs = []
     for wl in workloads:
@@ -236,7 +229,7 @@ def run_mixes(num_cores: int, mix_count: int, n_per_core: int,
     mixes = generate_mixes(num_cores, mix_count, pool=pool, seed=seed)
     config = config or experiment_config(num_cores=num_cores)
     iso_config = iso_config or experiment_config(num_cores=1)
-    runner = runner or get_runner()
+    runner = runner or job_runner()
 
     jobs: List[SimJob] = []
     iso_workloads = sorted({wl for mix in mixes for wl in mix})

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from ..runner import PrefetcherSpec, SimJob, get_runner, spec
+from ..runner import PrefetcherSpec, SimJob, spec
 from ..sim.stats import geomean
 from .common import (BERTI_L1, PREFETCHER_SPECS, STRIDE_L1,
                      ExperimentResult, env_n, experiment_config, fmt,
-                     quick_mode, run_mixes, workload_set)
+                     job_runner, quick_mode, run_mixes, workload_set)
 
 L2_REGULARS: Dict[str, PrefetcherSpec] = {
     "ipcp": spec("ipcp"),
@@ -34,7 +34,7 @@ def run_fig11a(n: Optional[int] = None,
     n = n or env_n()
     workloads = list(workloads or workload_set("full"))
     config = experiment_config()
-    runner = get_runner()
+    runner = job_runner()
     # Batch 1: stride baselines (the memory-intensity filter).
     stride_runs = runner.run([SimJob.single(wl, n, config, l1=STRIDE_L1)
                               for wl in workloads])
@@ -95,7 +95,7 @@ def run_fig11cd(n: Optional[int] = None,
     n = n or env_n(40_000)
     workloads = list(workloads or workload_set("quick"))
     config = experiment_config()
-    runner = get_runner()
+    runner = job_runner()
     jobs = []
     for reg in L2_REGULARS.values():
         for wl in workloads:

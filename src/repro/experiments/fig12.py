@@ -25,11 +25,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..core.stream_entry import ENTRIES_PER_BLOCK, correlations_per_block
-from ..runner import SimJob, get_runner, spec
+from ..runner import SimJob, spec
 from ..sim.stats import geomean
 from ..telemetry import TelemetryConfig
 from .common import (STRIDE_L1, ExperimentResult, env_n,
-                     experiment_config, fmt, workload_set)
+                     experiment_config, fmt, job_runner, workload_set)
 
 
 def run_fig12a(n: Optional[int] = None,
@@ -39,7 +39,7 @@ def run_fig12a(n: Optional[int] = None,
     n = n or env_n(40_000)
     workloads = list(workloads or workload_set("component"))
     config = experiment_config()
-    runner = get_runner()
+    runner = job_runner()
     lengths = [l for l in lengths if l in ENTRIES_PER_BLOCK]
     jobs = [SimJob.single(wl, n, config, l1=STRIDE_L1)
             for wl in workloads]
@@ -84,7 +84,7 @@ def run_fig12b(n: Optional[int] = None,
     n = n or env_n(40_000)
     workloads = list(workloads or workload_set("component"))
     config = experiment_config()
-    runner = get_runner()
+    runner = job_runner()
     cells = [(every_nth, aligned) for every_nth in sizes
              for aligned in (True, False)]
     jobs = []
@@ -121,7 +121,7 @@ def run_fig12c(n: Optional[int] = None,
     n = n or env_n(40_000)
     workloads = list(workloads or workload_set("component"))
     config = experiment_config()
-    runner = get_runner()
+    runner = job_runner()
     jobs = []
     for size in buffer_sizes:
         sl = spec("streamline", buffer_size=size)
@@ -165,7 +165,7 @@ def run_fig12_intervals(n: Optional[int] = None,
     workloads = list(workloads or workload_set("component"))
     tcfg = TelemetryConfig(interval=max(500, n // intervals))
     config = experiment_config().scaled(telemetry=tcfg)
-    runner = get_runner()
+    runner = job_runner()
     sl = spec("streamline")
     jobs = [SimJob.single(wl, n, config, l1=STRIDE_L1, l2=(sl,),
                           probes=("telemetry",))

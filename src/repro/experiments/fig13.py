@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..runner import PrefetcherSpec, SimJob, get_runner, spec
+from ..runner import PrefetcherSpec, SimJob, spec
 from ..sim.stats import geomean
 from .common import (STRIDE_L1, ExperimentResult, env_n,
-                     experiment_config, fmt, run_matrix, workload_set)
+                     experiment_config, fmt, job_runner, run_matrix,
+                     workload_set)
 
 #: label -> (streamline every_nth, triangel ways); "1MB" = half the LLC.
 SIZES: Dict[str, Tuple[int, int]] = {
@@ -67,7 +68,7 @@ def run_fig13b(n: Optional[int] = None,
     n = n or env_n(40_000)
     workloads = list(workloads or workload_set("component"))
     config = experiment_config()
-    runner = get_runner()
+    runner = job_runner()
     jobs = []
     for label in SIZES:
         for name, s in _config_specs(label).items():
@@ -108,7 +109,7 @@ def run_fig13c(n: Optional[int] = None,
     n = n or env_n(40_000)
     workloads = list(workloads or workload_set("component"))
     config = experiment_config()
-    runner = get_runner()
+    runner = job_runner()
     policies = ("tp-mockingjay", "srrip")
     jobs = []
     for wl in workloads:

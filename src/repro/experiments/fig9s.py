@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence
 from ..sampling import run_sampled
 from ..sim.stats import geomean
 from .common import (PREFETCHER_SPECS, STRIDE_L1, ExperimentResult,
-                     env_n, experiment_config, fmt, quick_mode,
-                     serve_runner, workload_set)
+                     env_n, experiment_config, fmt, job_runner,
+                     quick_mode, workload_set)
 
 
 def _quick_workloads() -> List[str]:
@@ -39,7 +39,7 @@ def run(n: Optional[int] = None,
     if workloads is None:
         workloads = _quick_workloads() if quick_mode() \
             else workload_set("full")
-    runner = serve_runner()
+    runner = job_runner()
     cfg = experiment_config()
     headers = ["workload", "triangel", "streamline", "ipc ci95",
                "sim share"]

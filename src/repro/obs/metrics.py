@@ -3,8 +3,7 @@
 One :class:`MetricsRegistry` per owner (a serve :class:`Server` owns
 its own, so two servers in one process never merge their numbers),
 rendered on demand as Prometheus text exposition format for
-``GET /metrics`` and as plain dicts for the ``metrics`` section of
-``job_end`` runlog records, which ``python -m repro obs report`` folds.
+``GET /metrics``.
 
 Naming convention (enforced at registration): every series is
 ``repro_<subsystem>_<name>_<unit>`` — e.g. ``repro_cache_hits_total``,
@@ -22,9 +21,9 @@ monotone counters maintained by their owners, so the registry reads
 them through a callback at render time instead of instrumenting every
 increment site.
 
-Knob: ``REPRO_METRICS`` (validated tri-state, default on).  Metrics are
-a pure observation channel — never part of job fingerprints, never able
-to change a :class:`~repro.sim.stats.SimResult`.
+Metrics are always on and are a pure observation channel — never part
+of job fingerprints, never able to change a
+:class:`~repro.sim.stats.SimResult`.
 """
 
 from __future__ import annotations
@@ -34,20 +33,12 @@ import re
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..envknobs import env_tristate
-
 _NAME_RE = re.compile(r"^repro_[a-z0-9]+(_[a-z0-9]+)+$")
 
 #: Default histogram bucket bounds, in seconds (job wall times span
 #: milliseconds for cache hits to minutes for big sweeps).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0)
-
-
-def enabled() -> bool:
-    """Metrics are on unless ``REPRO_METRICS=0`` (junk values raise)."""
-    forced = env_tristate("REPRO_METRICS")
-    return True if forced is None else forced
 
 
 def _check_name(name: str, kind: str) -> None:
@@ -155,15 +146,6 @@ class Histogram:
                     return
             self._counts[-1] += 1
 
-    def merge_counts(self, counts: Sequence[int], total: float) -> None:
-        """Fold another shard's counts (same bucket layout) in."""
-        if len(counts) != len(self._counts):
-            raise ValueError(f"{self.name}: bucket layout mismatch")
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self._sum += total
-
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             return {"buckets": list(self.buckets),
@@ -230,10 +212,6 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
     def render(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
         lines: List[str] = []
@@ -245,18 +223,6 @@ class MetricsRegistry:
             for sample_name, value in metric.samples():
                 lines.append(f"{sample_name} {_fmt_value(value)}")
         return "\n".join(lines) + "\n"
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Plain-dict view with stable keys (for ``--json`` surfaces)."""
-        out: Dict[str, Any] = {}
-        with self._lock:
-            metrics = [self._metrics[n] for n in sorted(self._metrics)]
-        for metric in metrics:
-            if metric.kind == "histogram":
-                out[metric.name] = metric.snapshot()
-            else:
-                out[metric.name] = metric.value()
-        return out
 
 
 def _fmt_value(value: float) -> str:

@@ -6,11 +6,8 @@
 
 Display policy mirrors every polite CLI tool: the line renders only
 when stderr is a TTY, so piped/redirected runs (CI, ``2>log``) stay
-byte-clean.  ``REPRO_PROGRESS`` overrides: ``1`` forces it on (useful
-under ``script``/tmux capture), ``0`` forces it off, unset/empty/
-``auto`` means TTY-detect, anything else raises.  Rendering is
-throttled to ~10 Hz so a memo-hit-heavy sweep doesn't spend its time
-painting the terminal.
+byte-clean.  Rendering is throttled to ~10 Hz so a memo-hit-heavy sweep
+doesn't spend its time painting the terminal.
 """
 
 from __future__ import annotations
@@ -19,14 +16,9 @@ import sys
 import time
 from typing import IO, Optional
 
-from ..envknobs import env_tristate
-
 
 def wanted(stream: Optional[IO[str]] = None) -> bool:
     """Should a progress line render on ``stream`` (default stderr)?"""
-    forced = env_tristate("REPRO_PROGRESS")
-    if forced is not None:
-        return forced
     stream = stream if stream is not None else sys.stderr
     isatty = getattr(stream, "isatty", None)
     return bool(isatty and isatty())

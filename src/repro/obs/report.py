@@ -6,7 +6,7 @@ on.  This module folds one run directory's merged ``runlog.jsonl`` into
 a :class:`RunSummary` and renders it as the markdown report behind
 ``python -m repro obs report``: slowest jobs, time breakdown by
 component, cache/checkpoint effectiveness, the nested-span table and
-the jobs' metrics.
+one metrics row folded from the ``job_end`` fields.
 Telemetry complements it (what the simulated *hardware* did); the obs
 report is about what the *simulator* did.
 """
@@ -33,7 +33,9 @@ class JobRecord:
     profile: Optional[Dict[str, Any]] = None
     trace_id: Optional[str] = None
     span_id: Optional[str] = None
-    metrics: Optional[Dict[str, Any]] = None
+    #: Simulated accesses (all cores) and on-disk trace store hits.
+    events: int = 0
+    trace_store_hits: int = 0
 
     @property
     def label(self) -> str:
@@ -50,7 +52,8 @@ class JobRecord:
                 "pid": self.pid,
                 "trace_id": self.trace_id,
                 "span_id": self.span_id,
-                "metrics": self.metrics,
+                "events": self.events,
+                "trace_store_hits": self.trace_store_hits,
                 "profiled": bool(self.profile)}
 
 
@@ -108,19 +111,16 @@ class RunSummary:
         return out
 
     def job_metrics(self) -> Dict[str, Any]:
-        """The run's ``job_end`` metrics sections, aggregated."""
-        jobs = [j for j in self.jobs if j.metrics]
-        wall = sum(j.metrics["wall_seconds"] for j in jobs)
-        events = sum(j.metrics.get("events", 0) for j in jobs)
+        """The executed jobs' ``job_end`` fields, summed."""
+        wall = sum(j.wall_seconds for j in self.jobs)
+        events = sum(j.events for j in self.jobs)
         return {
-            "jobs_with_metrics": len(jobs),
             "wall_seconds": wall,
             "events": events,
             "events_per_second": events / wall if wall > 0 else 0.0,
-            "ckpt_restores": sum(j.metrics.get("ckpt_restored", 0)
-                                 for j in jobs),
-            "trace_store_hits": sum(j.metrics.get("trace_store_hits", 0)
-                                    for j in jobs),
+            "ckpt_restores": sum(j.restored for j in self.jobs),
+            "trace_store_hits": sum(j.trace_store_hits
+                                    for j in self.jobs),
         }
 
     def to_json(self, top: int = 10) -> Dict[str, Any]:
@@ -178,7 +178,9 @@ def summarize(run_dir: pathlib.Path) -> RunSummary:
                 profile=rec.get("profile"),
                 trace_id=rec.get("trace_id"),
                 span_id=rec.get("span_id"),
-                metrics=rec.get("metrics"),
+                events=int(rec.get("events", 0)),
+                trace_store_hits=int(
+                    (rec.get("trace_store") or {}).get("hits", 0)),
             ))
     summary.executed = len(summary.jobs)
     summary.started = min((r.get("ts", 0.0) for r in records),
@@ -278,29 +280,16 @@ def render(summary: RunSummary, top: int = 10) -> str:
                      "(set `REPRO_PROFILE=1` to collect them)._")
         lines.append("")
 
-    # The jobs' ``job_end`` metrics sections, folded.
+    # The executed jobs' ``job_end`` fields, summed into one row.
     agg = summary.job_metrics()
-    lines.append(f"## Metrics ({agg['jobs_with_metrics']} job(s) with "
-                 f"metrics)")
+    lines.append(f"## Metrics ({summary.executed} executed job(s))")
     lines.append("")
-    if agg["jobs_with_metrics"]:
-        lines.extend(_table(
-            ["wall", "events", "events/s", "ckpt restores",
-             "trace store hits"],
-            [[_secs(agg["wall_seconds"]), str(agg["events"]),
-              f"{agg['events_per_second']:.0f}",
-              str(agg["ckpt_restores"]), str(agg["trace_store_hits"])]]))
-        lines.append("")
-        slowest = sorted((j for j in summary.jobs if j.metrics),
-                         key=lambda j: -j.metrics["wall_seconds"])[:5]
-        lines.extend(_table(
-            ["job", "wall", "events/s"],
-            [[j.label, _secs(j.metrics["wall_seconds"]),
-              f"{j.metrics.get('events_per_second', 0.0):.0f}"]
-             for j in slowest]))
-    else:
-        lines.append("_No metrics in this run (it predates the metrics "
-                     "subsystem, or ran with `REPRO_METRICS=0`)._")
+    lines.extend(_table(
+        ["wall", "events", "events/s", "ckpt restores",
+         "trace store hits"],
+        [[_secs(agg["wall_seconds"]), str(agg["events"]),
+          f"{agg['events_per_second']:.0f}",
+          str(agg["ckpt_restores"]), str(agg["trace_store_hits"])]]))
     lines.append("")
 
     return "\n".join(lines)

@@ -6,10 +6,11 @@ The parent process appends ``run_start``/``run_end`` records (batch
 size, cache and prewarm effectiveness, wall time); every worker process
 — installed via the pool initializer — appends ``job_start``/``job_end``
 records (job fingerprint, workloads, wall seconds, checkpoint-restore
-flag, and the span profile when ``REPRO_PROFILE`` is on) to its own
-shard.  After the pool drains, the parent merges all shards into one
-``runlog.jsonl`` ordered by ``(ts, pid, seq)``, which is what
-``python -m repro obs`` reports over.
+flag, trace-store counters, simulated accesses and cycles, and the span
+profile when ``REPRO_PROFILE`` is on) to its own shard.  After the pool
+drains, the parent merges all shards into one ``runlog.jsonl`` ordered
+by ``(ts, pid, seq)``, which is what ``python -m repro obs`` reports
+over.
 
 Records are one JSON object per line with a common envelope::
 
@@ -39,7 +40,9 @@ from ..store import store_dir
 from . import trace as obs_trace
 
 #: Version of the runlog record layout (bump when fields change shape).
-RUNLOG_SCHEMA_VERSION = 1
+#: v2: ``job_end`` records ``events`` and ``sim_cycles`` at top level
+#: and no longer carry a ``metrics`` section repeating their own fields.
+RUNLOG_SCHEMA_VERSION = 2
 
 #: Merged log filename inside a run directory.
 MERGED = "runlog.jsonl"

@@ -21,10 +21,9 @@ tree of one request across server and worker shards.
 
 Each hop mints a *child* context: same ``trace_id``, fresh ``span_id``,
 with the parent's span recorded — so the runlog shows who caused what,
-not just correlation.  Knob: ``REPRO_TRACE`` (validated tri-state,
-default on; ``0`` disables minting and binding entirely).  Tracing is a
-pure observation channel: it never enters job fingerprints and cannot
-change simulation results.
+not just correlation.  Tracing is always on and is a pure observation
+channel: it never enters job fingerprints and cannot change simulation
+results.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ import re
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..envknobs import env_tristate
-
 #: The traceparent version prefix we emit (W3C trace-context level 00).
 _VERSION = "00"
 
@@ -44,12 +41,6 @@ _FLAGS = "01"
 
 _TRACEPARENT_RE = re.compile(
     r"^00-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}$")
-
-
-def enabled() -> bool:
-    """Tracing is on unless ``REPRO_TRACE=0`` (junk values raise)."""
-    forced = env_tristate("REPRO_TRACE")
-    return True if forced is None else forced
 
 
 def _hex(nbytes: int) -> str:
@@ -138,10 +129,8 @@ def uninstall() -> None:
     install(None)
 
 
-def ambient() -> Optional[TraceContext]:
+def ambient() -> TraceContext:
     """The context a new batch should run under: the installed one, or
-    a freshly minted root when tracing is on and nothing is installed
-    (i.e. this process *is* the outermost entry point)."""
-    if not enabled():
-        return None
+    a freshly minted root when nothing is installed (i.e. this process
+    *is* the outermost entry point)."""
     return _current if _current is not None else new_context()

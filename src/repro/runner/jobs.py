@@ -22,7 +22,6 @@ from typing import Any, ContextManager, Dict, Optional, Sequence, Tuple, \
 from ..checkpoint import FORMAT_VERSION as CKPT_FORMAT_VERSION
 from ..checkpoint import CheckpointStore, checkpoint_enabled, get_store, \
     mark_interval
-from ..obs import metrics as obs_metrics
 from ..obs import profile as obs_profile
 from ..obs import runlog as obs_runlog
 from ..obs import trace as obs_trace
@@ -30,6 +29,7 @@ from ..obs.profile import SpanProfiler
 from ..sim.config import SystemConfig
 from ..sim.multicore import MulticoreResult
 from ..sim.stats import SimResult
+from ..telemetry.config import TelemetryConfig
 from ..workloads import DEFAULT_SEED
 from .probes import ProbeContext, run_probes
 from .specs import PrefetcherSpec, as_spec
@@ -163,6 +163,41 @@ class SimJob:
             "window": list(self.window) if self.window is not None
             else None,
         }
+
+    @classmethod
+    def from_canonical(cls, canonical: Dict[str, Any]) -> "SimJob":
+        """The job :meth:`canonical` describes (``resume`` off).
+
+        A malformed form raises ``KeyError``, ``TypeError`` or
+        ``ValueError``; the canonical JSON turns tuples into lists, and
+        this turns them back.
+        """
+        config = dict(canonical["config"])
+        telemetry = config.pop("telemetry", None)
+        if telemetry is not None:
+            telemetry = TelemetryConfig(**{
+                k: tuple(v) if isinstance(v, list) else v
+                for k, v in telemetry.items()})
+
+        def spec_of(payload: Optional[Dict[str, Any]]) \
+                -> Optional[PrefetcherSpec]:
+            if payload is None:
+                return None
+            return PrefetcherSpec.of(payload["name"], **payload["kwargs"])
+
+        window = canonical["window"]
+        return cls(
+            kind=canonical["kind"],
+            workloads=tuple(canonical["workloads"]),
+            n=canonical["n"],
+            seed=canonical["seed"],
+            config=SystemConfig(telemetry=telemetry, **config),
+            l1=spec_of(canonical["l1"]),
+            l2=tuple(spec_of(s) for s in canonical["l2"]),
+            probes=tuple(canonical["probes"]),
+            measure_overrides=tuple(
+                (k, v) for k, v in canonical["measure_overrides"]),
+            window=tuple(window) if window is not None else None)
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True,
@@ -311,52 +346,28 @@ class SimJob:
             result, restored = self._execute_impl(prof)
         finally:
             obs_profile.end_job(prof)
-        if prof is not None and self.kind == SINGLE:
+        profile = prof.report() if prof is not None else None
+        if profile is not None and self.kind == SINGLE:
             result = JobResult(
-                value=dataclasses.replace(result.single,
-                                          profile=prof.report()),
+                value=dataclasses.replace(result.single, profile=profile),
                 probes=result.probes)
         if log is not None:
             # On-disk trace store effectiveness, as this job's delta of
             # the per-process counters.
             store1 = trace_store_stats()
-            wall = time.perf_counter() - t0
-            store_delta = {k: store1[k] - store0[k] for k in store1}
-            extra: Dict[str, Any] = {}
-            if obs_metrics.enabled():
-                # The job's metrics shard: it rides the runlog (which
-                # already crosses the process boundary and gets merged)
-                # instead of pushing to any shared registry.
-                extra["metrics"] = self._job_metrics(
-                    result, wall, restored, store_delta)
+            singles = [result.single] if self.kind == SINGLE \
+                else list(result.multicore.cores)
             log.emit("job_end", fingerprint=fp, kind=self.kind,
                      workloads=list(self.workloads), n=self.n,
                      prefetcher=self._label(),
-                     wall_seconds=wall,
+                     wall_seconds=time.perf_counter() - t0,
                      restored=restored,
-                     trace_store=store_delta,
-                     profile=prof.report() if prof is not None else None,
-                     **extra)
+                     trace_store={k: store1[k] - store0[k]
+                                  for k in store1},
+                     events=sum(s.accesses for s in singles),
+                     sim_cycles=max(s.cycles for s in singles),
+                     profile=profile)
         return result
-
-    def _job_metrics(self, result: "JobResult", wall: float,
-                     restored: bool,
-                     store_delta: Dict[str, int]) -> Dict[str, Any]:
-        """The ``metrics`` section of this job's ``job_end`` record."""
-        if self.kind == SINGLE:
-            singles = [result.single]
-        else:
-            singles = list(result.multicore.cores)
-        events = sum(s.accesses for s in singles)
-        cycles = max((s.cycles for s in singles), default=0)
-        return {
-            "wall_seconds": wall,
-            "sim_cycles": cycles,
-            "events": events,
-            "events_per_second": events / wall if wall > 0 else 0.0,
-            "ckpt_restored": int(restored),
-            "trace_store_hits": int(store_delta.get("hits", 0)),
-        }
 
     def _execute_impl(self, prof: Optional[SpanProfiler]) \
             -> Tuple["JobResult", bool]:
@@ -466,7 +477,7 @@ def execute_job(job: SimJob,
     with this hop's own span identity.
     """
     context = obs_trace.parse_or_none(traceparent)
-    if context is None or not obs_trace.enabled():
+    if context is None:
         return job.execute()
     previous = obs_trace.install(context.child())
     try:

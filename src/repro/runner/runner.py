@@ -62,9 +62,9 @@ class SimRunner:
         unprofiled rerun).
 
         ``contexts`` optionally carries one trace context per job (the
-        serve broker passes the submitting client's); when absent and
-        tracing is on, this call *is* the outermost entry point and the
-        whole batch runs under one freshly minted (or ambient) root.
+        serve broker passes the submitting client's); when absent, this
+        call *is* the outermost entry point and the whole batch runs
+        under one freshly minted (or ambient) root.
         Contexts are a pure observation channel — they never touch
         fingerprints or results.
         """

@@ -51,7 +51,8 @@ def register(name: str, factory: Callable[..., Prefetcher]) -> None:
     _REVERSE[factory] = name
 
 
-def _resolve(name: str) -> Callable[..., Prefetcher]:
+def resolve(name: str) -> Callable[..., Prefetcher]:
+    """The constructor a spec name stands for; ``ValueError`` if none."""
     if name in _REGISTRY:
         return _REGISTRY[name]
     if name.startswith(VARIANT_PREFIX):
@@ -85,7 +86,7 @@ class PrefetcherSpec:
 
     def build(self) -> Prefetcher:
         """Construct a fresh prefetcher instance."""
-        factory = _resolve(self.name)
+        factory = resolve(self.name)
         return factory(**dict(self.kwargs))
 
     def factory(self) -> Callable[[], Prefetcher]:

@@ -22,7 +22,7 @@ Observability (DESIGN.md §10): every submission can carry a
 ``traceparent`` envelope key that follows the job through broker, pool
 worker, and runlog; ``GET /metrics`` exposes each instance's
 :class:`repro.obs.metrics.MetricsRegistry` in Prometheus text format,
-and ``GET /v1/healthz`` is the cheap load-balancer subset.
+and ``GET /healthz`` answers liveness.
 """
 
 from .broker import BrokerStats, JobBroker

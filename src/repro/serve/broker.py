@@ -35,7 +35,7 @@ from ..runner.runner import SimRunner
 
 @dataclass
 class BrokerStats:
-    """Served/executed counters, exposed on ``/v1/stats``."""
+    """Served/executed counters, exported on ``/metrics``."""
 
     submitted: int = 0      # jobs received (after wire decode)
     cache_hits: int = 0     # resolved straight from the result cache
@@ -44,9 +44,6 @@ class BrokerStats:
     executed: int = 0       # ran on the SimRunner (cold work)
     batches: int = 0        # consumer drains handed to the runner
     failures: int = 0       # jobs whose execution raised
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(vars(self))
 
 
 class JobBroker:

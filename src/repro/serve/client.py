@@ -5,7 +5,7 @@ results, tail the SSE event stream) to the one server it was given;
 :class:`ServeRunner` wraps it in the :meth:`repro.runner.SimRunner.run`
 interface — same signature, same input-order/dedup semantics — so any
 experiment driver becomes a thin client by swapping its runner
-(``experiments.common.serve_runner()`` does exactly that from
+(``experiments.common.job_runner()`` does exactly that from
 ``REPRO_SERVE_URL``).
 
 The client computes fingerprints locally from the real :class:`SimJob`
@@ -105,14 +105,6 @@ class ServeClient:
     def healthz(self) -> Dict[str, Any]:
         return self._request(f"{self.base_url}/healthz")
 
-    def health(self) -> Dict[str, Any]:
-        """The ``/v1/healthz`` load-balancer view: queue depth,
-        in-flight count, cache stats."""
-        return self._request(f"{self.base_url}/v1/healthz")
-
-    def stats(self) -> Dict[str, Any]:
-        return self._request(f"{self.base_url}/v1/stats")
-
     def submit(self, jobs: Sequence[SimJob]) -> List[JobResult]:
         """Run a batch through the service; results in input order.
 
@@ -126,20 +118,19 @@ class ServeClient:
         and sent with every job's wire envelope, so the whole batch
         shares one trace_id (``self.last_context`` keeps the handle).
         """
-        self.last_context = obs_trace.ambient()
+        context = obs_trace.ambient()
+        self.last_context = context
         fingerprints = [job.fingerprint() for job in jobs]
         unique: Dict[str, SimJob] = {}
         for job, fingerprint in zip(jobs, fingerprints):
             unique.setdefault(fingerprint, job)
-        self._place(unique)
+        self._place(unique, context.to_traceparent())
         results = {fp: self._await_result(fp) for fp in unique}
         return [results[fp] for fp in fingerprints]
 
-    def _place(self, unique: Dict[str, SimJob]) -> None:
+    def _place(self, unique: Dict[str, SimJob], traceparent: str) -> None:
         """Post every unique job in one batch; a job the server did not
         take (``invalid``, or any unknown status) raises WireError."""
-        traceparent = self.last_context.to_traceparent() \
-            if self.last_context is not None else None
         payload = {"wire": WIRE_VERSION,
                    "jobs": [job_to_wire(job, traceparent)
                             for job in unique.values()]}

@@ -6,7 +6,6 @@ A deliberately small HTTP/1.1 implementation over
 :class:`repro.serve.broker.JobBroker`:
 
 * ``GET  /healthz``                  — liveness + wire version.
-* ``GET  /v1/stats``                 — broker/cache counters.
 * ``POST /v1/jobs``                  — submit a batch; per-job status
   (``cached`` / ``accepted`` / ``joined``, or ``invalid`` + error).
 * ``GET  /v1/results/<fp>``          — long-poll one result
@@ -15,14 +14,13 @@ A deliberately small HTTP/1.1 implementation over
   ``repro.obs`` runlog (``?fingerprint=<fp>`` filters to one job);
   delivers ``job_start``/``job_end``/``prewarm``/``run_*`` records to
   any number of concurrent clients while batches execute.
-* ``GET  /v1/healthz``               — the load-balancer subset:
-  queue depth, in-flight count, cache stats as JSON.
 * ``GET  /metrics``                  — Prometheus text exposition of
   this instance's :class:`repro.obs.metrics.MetricsRegistry`: broker
-  and cache counters are *pulled* from their already-monotone stats at
-  render time; per-job series (wall time, events/s, restores) are
-  *folded* from tailed ``job_end`` runlog records, which is how worker
-  processes ship their metrics shard across the process boundary.
+  and cache counters, queue depth and event-stream clients are
+  *pulled* from their owners at render time; per-job series (wall
+  time, events/s, restores) are *folded* from the fields of tailed
+  ``job_end`` runlog records, which is how worker processes ship their
+  numbers across the process boundary.
   Broker/cache series are instance-local; folded job series cover every
   run under the obs root this instance tails.
 
@@ -89,7 +87,6 @@ class Server:
         self._subscribers: Set[Tuple[asyncio.Queue, Optional[str]]] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._tail_task: Optional["asyncio.Task[None]"] = None
-        self.metrics_on = obs_metrics.enabled()
         self.metrics = self._build_registry()
 
     # -- metrics ---------------------------------------------------------------
@@ -161,8 +158,7 @@ class Server:
             "repro_broker_queue_wait_seconds",
             "seconds a job waited in the queue before its batch drained")
         broker.on_queue_wait = queue_wait.observe
-        # Folded from tailed job_end records (the workers' metric
-        # shards): see _fold_record.
+        # Folded from tailed job_end records: see _fold_record.
         registry.histogram(
             "repro_job_wall_seconds",
             "per-job wall-clock execution seconds")
@@ -181,22 +177,19 @@ class Server:
         return registry
 
     def _fold_record(self, record: Dict[str, Any]) -> None:
-        """Fold one tailed ``job_end`` record's metrics section in."""
+        """Fold one tailed ``job_end`` record's fields in."""
         if record.get("event") != "job_end":
             return
-        section = record.get("metrics")
-        if not isinstance(section, dict):
-            return
-        wall = float(section.get("wall_seconds", 0.0))
+        wall = float(record.get("wall_seconds", 0.0))
+        events = float(record.get("events", 0))
         self.metrics.get("repro_job_wall_seconds").observe(wall)
-        self.metrics.get("repro_job_events_total").inc(
-            float(section.get("events", 0)))
+        self.metrics.get("repro_job_events_total").inc(events)
         self.metrics.get("repro_ckpt_restores_total").inc(
-            float(section.get("ckpt_restored", 0)))
+            float(bool(record.get("restored"))))
         self.metrics.get("repro_trace_store_hits_total").inc(
-            float(section.get("trace_store_hits", 0)))
+            float((record.get("trace_store") or {}).get("hits", 0)))
         self.metrics.get("repro_engine_events_per_second").set(
-            float(section.get("events_per_second", 0.0)))
+            events / wall if wall > 0 else 0.0)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -207,14 +200,12 @@ class Server:
         sockets = self._server.sockets or []
         if sockets:
             self.port = sockets[0].getsockname()[1]
-        if self.metrics_on:
-            # Prime the tailer past pre-existing runlogs: folded job
-            # metrics are live-only, not a replay of every old run
-            # under the obs root.  (SSE semantics are unchanged — the
-            # tail loop only dispatched to subscribers that existed
-            # when a record was polled, so history was never theirs.)
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._tailer.poll)
+        # Prime the tailer past pre-existing runlogs: folded job
+        # metrics are live-only, not a replay of every old run under
+        # the obs root, and event-stream subscribers only ever see
+        # records polled after they connected.
+        await asyncio.get_running_loop().run_in_executor(
+            None, self._tailer.poll)
         self._tail_task = asyncio.get_running_loop().create_task(
             self._tail_loop())
 
@@ -246,14 +237,11 @@ class Server:
     async def _tail_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            if self._subscribers or self.metrics_on:
-                # File I/O off the loop thread; records fan out on it.
-                records = await loop.run_in_executor(
-                    None, self._tailer.poll)
-                for record in records:
-                    if self.metrics_on:
-                        self._fold_record(record)
-                    self._dispatch(record)
+            # File I/O off the loop thread; records fan out on it.
+            records = await loop.run_in_executor(None, self._tailer.poll)
+            for record in records:
+                self._fold_record(record)
+                self._dispatch(record)
             await asyncio.sleep(self.poll_interval)
 
     def _dispatch(self, record: Dict[str, Any]) -> None:
@@ -339,20 +327,10 @@ class Server:
                      body: bytes, writer: asyncio.StreamWriter) -> None:
         if path == "/healthz" and method == "GET":
             await self._send_json(writer, 200, self._describe())
-        elif path == "/v1/healthz" and method == "GET":
-            await self._send_json(writer, 200, self._health())
         elif path == "/metrics" and method == "GET":
-            if not self.metrics_on:
-                raise _HttpError(404, "metrics disabled "
-                                      "(REPRO_METRICS=0)")
             await self._send_text(
                 writer, 200, self.metrics.render(),
                 "text/plain; version=0.0.4; charset=utf-8")
-        elif path == "/v1/stats" and method == "GET":
-            await self._send_json(writer, 200, {
-                "broker": self.broker.stats.snapshot(),
-                "cache": self.broker.cache.stats.snapshot(),
-                "subscribers": len(self._subscribers)})
         elif path == "/v1/jobs":
             if method != "POST":
                 raise _HttpError(405, "POST /v1/jobs")
@@ -373,14 +351,6 @@ class Server:
         return {"status": "ok", "wire": WIRE_VERSION,
                 "version": __version__,
                 "workers": self.broker.runner.workers}
-
-    def _health(self) -> Dict[str, Any]:
-        """The load-balancer subset: cheap gauges, no histogram walk."""
-        return {"status": "ok",
-                "queue_depth": self.broker.queue_depth,
-                "inflight": self.broker.inflight_count,
-                "cache": self.broker.cache.stats.snapshot(),
-                "subscribers": len(self._subscribers)}
 
     async def _handle_jobs(self, body: bytes,
                            writer: asyncio.StreamWriter) -> None:
@@ -407,13 +377,9 @@ class Server:
             # The optional traceparent envelope key: this hop runs as a
             # *child* span of the client's context, so the runlog shows
             # client -> server -> job causality.  Absent or malformed
-            # values (old clients, junk) simply mean an untraced job.
-            context = None
-            if obs_trace.enabled():
-                parent = obs_trace.parse_or_none(
-                    entry.get("traceparent")
-                    if isinstance(entry, dict) else None)
-                context = parent.child() if parent is not None else None
+            # values (junk) simply mean an untraced job.
+            parent = obs_trace.parse_or_none(entry.get("traceparent"))
+            context = parent.child() if parent is not None else None
             was_inflight = self.broker.is_inflight(fingerprint)
             future = self.broker.submit(job, fingerprint, context)
             status = "cached" if future.done() \

@@ -4,10 +4,12 @@ The job wire format *is* the canonical fingerprint JSON
 (:meth:`repro.runner.SimJob.canonical`, already schema-versioned via
 ``repro.runner.jobs.SCHEMA_VERSION``): the client sends exactly the
 dictionary its fingerprint hashes, plus the fingerprint it computed.
-The server reconstructs a :class:`SimJob` from that dictionary and
-recomputes the fingerprint; any mismatch — a non-JSON-clean kwarg, a
-schema skew between client and server, a tampered field — is rejected
-loudly instead of silently keying a different simulation.
+The server reconstructs a :class:`SimJob` from that dictionary
+(:meth:`SimJob.from_canonical`) and recomputes the fingerprint; any
+mismatch — a non-JSON-clean kwarg, a schema skew between client and
+server, a tampered field — is rejected loudly instead of silently keying
+a different simulation.  ``resume`` is not in the canonical form, so a
+served job always runs straight (with bit-identical results).
 
 Results travel as the pickled :class:`repro.runner.JobResult` bytes
 (base64 inside the JSON envelope, sha256-guarded), i.e. the exact
@@ -22,20 +24,18 @@ deployment of this same codebase, not a public endpoint).
 from __future__ import annotations
 
 import base64
-import dataclasses
 import hashlib
 import pickle
 from typing import Any, Dict, Optional, Tuple
 
 from ..runner.jobs import SCHEMA_VERSION, JobResult, SimJob
-from ..runner.specs import PrefetcherSpec
-from ..sim.config import SystemConfig
-from ..telemetry.config import TelemetryConfig
 
 #: Version of the HTTP/JSON envelope (bump when routes or payload
 #: shapes change; the job schema itself is versioned separately by
 #: ``repro.runner.jobs.SCHEMA_VERSION`` inside the canonical form).
-WIRE_VERSION = 1
+#: v2: the ``/v1/healthz`` and ``/v1/stats`` routes are gone
+#: (``/healthz`` and ``/metrics`` serve liveness and every counter).
+WIRE_VERSION = 2
 
 
 class WireError(ValueError):
@@ -61,37 +61,6 @@ def job_to_wire(job: SimJob,
     return payload
 
 
-def _spec_from(payload: Optional[Dict[str, Any]]) \
-        -> Optional[PrefetcherSpec]:
-    if payload is None:
-        return None
-    try:
-        return PrefetcherSpec.of(payload["name"], **payload["kwargs"])
-    except (KeyError, TypeError) as exc:
-        raise WireError(f"malformed prefetcher spec {payload!r}: {exc}") \
-            from None
-
-
-def _config_from(payload: Dict[str, Any]) -> SystemConfig:
-    fields = {f.name for f in dataclasses.fields(SystemConfig)}
-    unknown = set(payload) - fields
-    if unknown:
-        raise WireError(f"unknown SystemConfig fields {sorted(unknown)}")
-    kwargs = dict(payload)
-    telemetry = kwargs.pop("telemetry", None)
-    if telemetry is not None:
-        try:
-            telemetry = TelemetryConfig(**{
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in telemetry.items()})
-        except (TypeError, ValueError) as exc:
-            raise WireError(f"malformed telemetry config: {exc}") from None
-    try:
-        return SystemConfig(telemetry=telemetry, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise WireError(f"malformed system config: {exc}") from None
-
-
 def job_from_wire(payload: Dict[str, Any]) -> Tuple[SimJob, str]:
     """Decode and *verify* one job; returns ``(job, fingerprint)``.
 
@@ -115,20 +84,7 @@ def job_from_wire(payload: Dict[str, Any]) -> Tuple[SimJob, str]:
             f"job schema mismatch: got {canonical.get('schema')!r}, "
             f"this server speaks {SCHEMA_VERSION}")
     try:
-        job = SimJob(
-            kind=canonical["kind"],
-            workloads=tuple(canonical["workloads"]),
-            n=canonical["n"],
-            seed=canonical["seed"],
-            config=_config_from(canonical["config"]),
-            l1=_spec_from(canonical["l1"]),
-            l2=tuple(_spec_from(s) for s in canonical["l2"]),
-            probes=tuple(canonical["probes"]),
-            measure_overrides=tuple(
-                (k, v) for k, v in canonical["measure_overrides"]),
-        )
-    except WireError:
-        raise
+        job = SimJob.from_canonical(canonical)
     except (KeyError, TypeError, ValueError) as exc:
         raise WireError(f"malformed job payload: {exc}") from None
     fingerprint = job.fingerprint()

@@ -10,23 +10,14 @@ observes the :class:`repro.memory.events.EventBus` and nothing else.
 Because the config is a frozen dataclass nested inside ``SystemConfig``,
 it participates in job fingerprints: enabling telemetry (or changing the
 sampling interval) keys distinct cache entries, so telemetry-on results
-never shadow the golden telemetry-off ones.
-
-Environment knobs (read by :meth:`TelemetryConfig.from_env`, used by the
-experiment layer):
-
-* ``REPRO_TELEMETRY=1`` — enable telemetry in experiments that support
-  it (fig9 gains timeliness columns; default off keeps goldens stable).
-* ``REPRO_TELEMETRY_INTERVAL=<n>`` — demand accesses per interval
-  sample (default :data:`DEFAULT_INTERVAL`).
+never shadow the golden telemetry-off ones.  Callers opt in explicitly:
+``python -m repro telemetry run`` and the fig12ts experiment do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-from ..envknobs import env_flag, env_int
+from typing import Tuple
 
 #: Default sampling period, in committed demand accesses.
 DEFAULT_INTERVAL = 1000
@@ -72,12 +63,3 @@ class TelemetryConfig:
             raise ValueError(
                 "telemetry config enables neither intervals nor lifecycle; "
                 "use SystemConfig(telemetry=None) to disable telemetry")
-
-    @classmethod
-    def from_env(cls) -> Optional["TelemetryConfig"]:
-        """The experiment-layer opt-in: None unless ``REPRO_TELEMETRY=1``
-        (junk values raise naming the variable)."""
-        if not env_flag("REPRO_TELEMETRY", False):
-            return None
-        return cls(interval=env_int("REPRO_TELEMETRY_INTERVAL",
-                                    DEFAULT_INTERVAL))

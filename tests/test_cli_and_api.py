@@ -127,6 +127,13 @@ class TestCommandLine:
         ["checkpoint", "inspect", "../x"],
         ["telemetry", "validate", "{missing}"],
         ["obs", "report", "--top", "-1"],
+        ["telemetry", "run", "nowork"],
+        ["telemetry", "run", "gap.pr", "--prefetcher", "nope"],
+        ["sampling", "plan", "nowork"],
+        ["sampling", "plan", "gap.pr", "--n", "0"],
+        ["telemetry", "run", "gap.pr", "--interval", "0"],
+        ["telemetry", "run", "gap.pr", "--scale", "0"],
+        ["serve", "run", "--port", "70000"],
     ])
     def test_bad_input_is_a_usage_error(self, argv, tmp_path):
         argv = [a.format(missing=tmp_path / "missing.jsonl")
@@ -135,6 +142,11 @@ class TestCommandLine:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_empty_prefetcher_means_none(self):
+        args = build_parser().parse_args(
+            ["telemetry", "run", "gap.pr", "--prefetcher", ""])
+        assert args.prefetcher == ""
 
     def test_serve_ping_without_url(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SERVE_URL", raising=False)

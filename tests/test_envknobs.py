@@ -4,7 +4,8 @@ The helpers there validate every value the same way (a junk value
 raises naming the variable); a module reading ``os.environ`` itself
 would bypass that, so no module but ``envknobs.py`` may.  The bench
 scripts size their runs through the same ``REPRO_N``/``REPRO_QUICK``
-helpers as ``repro.experiments``.
+helpers as ``repro.experiments``.  The knob table in
+``benchmarks/README.md`` lists exactly the knobs ``src/`` reads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -47,6 +49,19 @@ def test_the_scan_sees_environment_reads(tmp_path):
     probe.write_text("import os\nfrom os import getenv\n"
                      "x = os.environ.get('REPRO_X')\n")
     assert list(_environ_reads(probe)) == [2, 3]
+
+
+def test_knob_table_lists_exactly_the_knobs_src_reads():
+    """Every quoted ``"REPRO_*"`` name under ``src/`` is a knob some
+    module reads; the README table must name each once, and no other."""
+    read = {name for path in SRC.rglob("*.py")
+            for name in re.findall(r'"(REPRO_[A-Z0-9_]+)"',
+                                   path.read_text(encoding="utf-8"))}
+    rows = re.findall(r"^\| `(REPRO_[A-Z0-9_]+)",
+                      (BENCHMARKS / "README.md").read_text(
+                          encoding="utf-8"), flags=re.M)
+    assert len(rows) == len(set(rows)), "a knob is listed twice"
+    assert sorted(rows) == sorted(read)
 
 
 #: Each bench script's sizing helper and the knobs it reads.

@@ -27,6 +27,10 @@ def _tiny_job(workload: str = "gap.pr", pf: str = "stride",
                          l1="stride", l2=(spec(pf),))
 
 
+#: Measured accesses of a 3000-access job (the first 20% warm up).
+MEASURED = 2400
+
+
 def _runner() -> SimRunner:
     return SimRunner(jobs=1, cache=ResultCache(persistent=False))
 
@@ -257,23 +261,21 @@ class TestRunLog:
 
 # -- progress line -------------------------------------------------------------
 
+class _Tty(io.StringIO):
+    def isatty(self):
+        return True
+
+
 class TestProgress:
-    def test_silent_when_piped(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROGRESS", raising=False)
+    def test_silent_when_piped(self):
         buf = io.StringIO()  # not a TTY
         line = progress.ProgressLine(4, stream=buf)
         line.update(done=2)
         line.finish()
         assert buf.getvalue() == ""
 
-    def test_renders_on_tty(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROGRESS", raising=False)
-
-        class Tty(io.StringIO):
-            def isatty(self):
-                return True
-
-        buf = Tty()
+    def test_renders_on_tty(self):
+        buf = _Tty()
         line = progress.ProgressLine(4, stream=buf, min_interval=0.0)
         line.update(done=1, memo_hits=1)
         line.update(done=2)
@@ -282,33 +284,8 @@ class TestProgress:
         assert "\r" in out and out.endswith("\n")
         assert "2/4 jobs" in out and "memo 1" in out
 
-    def test_forced_on_and_off(self, monkeypatch):
-        buf = io.StringIO()
-        monkeypatch.setenv("REPRO_PROGRESS", "1")
-        line = progress.ProgressLine(2, stream=buf, min_interval=0.0)
-        line.update(done=1)
-        assert "1/2 jobs" in buf.getvalue()
-
-        class Tty(io.StringIO):
-            def isatty(self):
-                return True
-
-        monkeypatch.setenv("REPRO_PROGRESS", "0")
-        tty = Tty()
-        line = progress.ProgressLine(2, stream=tty)
-        line.update(done=1)
-        line.finish()
-        assert tty.getvalue() == ""
-
-    def test_junk_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROGRESS", "loud")
-        with pytest.raises(ValueError, match="REPRO_PROGRESS"):
-            progress.wanted(io.StringIO())
-
-    def test_eta_excludes_cache_hits(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROGRESS", "1")
-        buf = io.StringIO()
-        line = progress.ProgressLine(10, done=8, stream=buf,
+    def test_eta_excludes_cache_hits(self):
+        line = progress.ProgressLine(10, done=8, stream=_Tty(),
                                      min_interval=0.0)
         # No executed jobs yet: no rate, so no (absurdly small) ETA.
         assert "eta" not in line.render_line()
@@ -351,7 +328,17 @@ class TestReportCli:
         assert "Span tree" in text
         assert "gap.pr" in text
         assert "## Time by component (4 profiled jobs" in text
-        assert "## Metrics (4 job(s) with metrics)" in text
+        assert "## Metrics (4 executed job(s))" in text
+        events = sum(j.events for j in summary.jobs)
+        assert events == 4 * MEASURED
+        assert summary.job_metrics()["events"] == events
+        assert summary.job_metrics()["wall_seconds"] == pytest.approx(
+            sum(j.wall_seconds for j in summary.jobs))
+        metrics = text[text.index("## Metrics"):].splitlines()
+        assert metrics[2] == "| wall | events | events/s | " \
+                             "ckpt restores | trace store hits |"
+        assert metrics[4].split(" | ")[1] == str(events)
+        assert metrics[5:] == []  # one row ends the report
 
     def test_cli_smoke(self, sweep_dir):
         env = dict(os.environ,
@@ -400,14 +387,45 @@ class TestReportCli:
         assert rep["jobs"] == 4 and rep["executed"] == 4
         assert rep["shards"] >= 1 and rep["started"] > 0
         assert len(rep["slowest_jobs"]) == 4
-        assert rep["metrics"]["jobs_with_metrics"] == 4
-        assert rep["metrics"]["events"] > 0
+        assert all(j["events"] == MEASURED for j in rep["slowest_jobs"])
+        assert "metrics" not in rep["slowest_jobs"][0]
+        assert rep["metrics"]["events"] == 4 * MEASURED
+        assert rep["metrics"]["events_per_second"] > 0
+        assert rep["metrics"]["ckpt_restores"] == 0
         assert "lookup:l1d" in rep["components"]
         assert rep["run_id"] == runlog.list_runs(sweep_dir)[0].name
         text = self._cli(sweep_dir, "report")
         assert text.returncode == 0
         metrics = text.stdout[text.stdout.index("## Metrics"):]
-        assert "events/s" in metrics and "gap.bfs" in metrics
+        assert "events/s" in metrics and str(4 * MEASURED) in metrics
+
+    def test_cli_compare_matches_jobs_across_runs(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        jobs = [_tiny_job("gap.pr", pf) for pf in ("stride", "streamline")]
+        for _ in range(2):
+            _runner().run(jobs)
+        run_a, run_b = (r.name for r in runlog.list_runs(tmp_path))
+        proc = self._cli(tmp_path, "report", "--compare", run_a, run_b)
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout
+        assert out.startswith(f"# obs compare — {run_a} (A) vs {run_b} (B)")
+        heading = "## Matched jobs (top 10 by |Δwall|, 2 matched)"
+        assert heading in out
+        table = out[out.index(heading):].split("\n\n")[1]
+        header, _, *rows = table.splitlines()
+        assert header == "| job | A | B | Δ | ratio |"
+        assert sorted(row.split(" | ")[0] for row in rows) == sorted(
+            f"| gap.pr/l1:stride+{pf} [{job.fingerprint()[:10]}]"
+            for job, pf in zip(jobs, ("stride", "streamline")))
+        # One view at a time, and --compare has no --json form.
+        for argv in (["--compare", run_a, run_b, "--json"],
+                     [run_a, "--compare", run_a, run_b],
+                     ["--compare", run_a, run_b, "--trace", "ab"]):
+            bad = self._cli(tmp_path, "report", *argv)
+            assert bad.returncode == 2, argv
+            assert "error:" in bad.stderr and bad.stdout == ""
 
     def test_cli_trace(self, sweep_dir):
         records = runlog.load_runlog(
@@ -557,20 +575,7 @@ class TestTraceContext:
         with pytest.raises(ValueError, match="trace_id"):
             trace.TraceContext("abc", "1" * 16)
 
-    def test_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert trace.enabled()
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not trace.enabled()
-        assert trace.ambient() is None
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert trace.enabled()
-        monkeypatch.setenv("REPRO_TRACE", "maybe")
-        with pytest.raises(ValueError, match="REPRO_TRACE"):
-            trace.enabled()
-
-    def test_install_restore_and_ambient(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
+    def test_install_restore_and_ambient(self):
         context = trace.new_context()
         previous = trace.install(context)
         try:
@@ -673,15 +678,6 @@ class TestMetricsRegistry:
                                "# TYPE repro_x_total counter\n"
                                "repro_x_total lots\n")
 
-    def test_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
-        assert metrics.enabled()
-        monkeypatch.setenv("REPRO_METRICS", "0")
-        assert not metrics.enabled()
-        monkeypatch.setenv("REPRO_METRICS", "loud")
-        with pytest.raises(ValueError, match="REPRO_METRICS"):
-            metrics.enabled()
-
 
 # -- trace propagation through the runner --------------------------------------
 
@@ -689,7 +685,6 @@ class TestTracePropagation:
     def _sweep(self, workers: int, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "1")
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
         jobs = [_tiny_job(wl, pf) for wl in ("gap.pr", "gap.bfs")
                 for pf in ("stride", "streamline")]
         root = trace.new_context()
@@ -737,32 +732,33 @@ class TestTracePropagation:
 
     def test_trace_off_leaves_records_clean_and_results_identical(
             self, tmp_path, monkeypatch):
+        # Tracing is always on; what stays clean is the result: a
+        # traced, logged batch returns exactly what job.execute() does
+        # with no context installed and no run-log writer.
         monkeypatch.setenv("REPRO_OBS", "1")
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         jobs = [_tiny_job("gap.pr", pf)
                 for pf in ("stride", "streamline")]
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        monkeypatch.setenv("REPRO_METRICS", "0")
-        off = SimRunner(jobs=1,
-                        cache=ResultCache(persistent=False)).run(jobs)
-        for r in runlog.load_runlog(
-                runlog.list_runs(tmp_path)[-1] / runlog.MERGED):
-            assert "trace_id" not in r and "span_id" not in r
-            assert "metrics" not in r
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setenv("REPRO_METRICS", "1")
-        on = SimRunner(jobs=1,
-                       cache=ResultCache(persistent=False)).run(jobs)
+        previous = trace.install(None)
+        try:
+            bare = [job.execute() for job in jobs]
+        finally:
+            trace.install(previous)
+        traced = SimRunner(jobs=1,
+                           cache=ResultCache(persistent=False)).run(jobs)
+        records = runlog.load_runlog(
+            runlog.list_runs(tmp_path)[-1] / runlog.MERGED)
+        assert [r["event"] for r in records].count("job_end") == 2
+        assert all(r["trace_id"] for r in records)
         # The observation plane never perturbs simulation results.
-        assert [pickle.dumps(r) for r in on] == \
-            [pickle.dumps(r) for r in off]
+        assert [pickle.dumps(r) for r in traced] == \
+            [pickle.dumps(r) for r in bare]
 
     def test_profiler_spans_carry_the_trace(self, tmp_path,
                                             monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "1")
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
         root = trace.new_context()
         previous = trace.install(root)
         try:
@@ -781,21 +777,24 @@ class TestTracePropagation:
         assert payload["span_id"] == end["span_id"] != root.span_id
 
     def test_job_end_metrics_section(self, tmp_path, monkeypatch):
+        # Each fact once: job_end carries the simulated accesses and
+        # cycles at top level, and no section repeating its own fields.
         monkeypatch.setenv("REPRO_OBS", "1")
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
-        SimRunner(jobs=1, cache=ResultCache(persistent=False)).run(
-            [_tiny_job()])
+        job = _tiny_job()
+        result = SimRunner(jobs=1, cache=ResultCache(
+            persistent=False)).run_one(job)
         records = runlog.load_runlog(
             runlog.list_runs(tmp_path)[-1] / runlog.MERGED)
+        start = next(r for r in records if r["event"] == "run_start")
+        assert start["schema"] == runlog.RUNLOG_SCHEMA_VERSION == 2
         end = next(r for r in records if r["event"] == "job_end")
-        section = end["metrics"]
-        assert section["events"] > 0
-        assert section["sim_cycles"] > 0
-        assert section["wall_seconds"] == pytest.approx(
-            end["wall_seconds"])
-        assert section["events_per_second"] > 0
-        assert section["ckpt_restored"] == 0
+        assert "metrics" not in end
+        assert end["events"] == result.single.accesses == MEASURED
+        assert end["sim_cycles"] == result.single.cycles > 0
+        assert end["wall_seconds"] > 0
+        assert end["restored"] is False
+        assert set(end["trace_store"]) >= {"hits", "misses"}
 
 
 # -- cache evictions in the run log --------------------------------------------

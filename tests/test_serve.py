@@ -6,7 +6,7 @@ matrix submitted through the HTTP job server comes back
 direct :class:`SimRunner` call; cache-hit replies, in-flight dedup (one
 execution for two concurrent identical submissions), restart survival,
 and per-job progress streaming to two concurrent clients are all
-pinned; and with the knobs unset nothing routes anywhere.
+pinned; and with ``REPRO_SERVE_URL`` unset nothing routes anywhere.
 """
 
 from __future__ import annotations
@@ -21,15 +21,16 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from repro.experiments.common import experiment_config, serve_runner
+from repro.experiments.common import experiment_config, job_runner
 from repro.obs import metrics as obs_metrics
 from repro.obs import report as obs_report
 from repro.obs import runlog as obs_runlog
 from repro.obs import trace as obs_trace
-from repro.runner import JobResult, ResultCache, SimJob, SimRunner, spec
-from repro.serve import (JobBroker, ServeClient, Server, ServerThread,
-                         WireError, job_from_wire, job_to_wire,
-                         result_from_wire, result_to_wire)
+from repro.runner import JobResult, ResultCache, SimJob, SimRunner, \
+    get_runner, reset_runner, spec
+from repro.serve import (WIRE_VERSION, JobBroker, ServeClient, Server,
+                         ServerThread, WireError, job_from_wire,
+                         job_to_wire, result_from_wire, result_to_wire)
 from repro.telemetry import TelemetryConfig
 
 TINY_N = 2000
@@ -87,6 +88,11 @@ class TestWire:
                           l2=(spec("triangel"),)),
             SimJob.multi(["gap.pr", "06.lbm"], TINY_N,
                          experiment_config(num_cores=2), l1="stride"),
+            # A sampled representative interval: the window is part of
+            # the canonical form, so it must survive the trip.
+            SimJob.single("gap.pr", 24000, CFG, l1="stride",
+                          l2=(spec("streamline"),),
+                          window=(4096, 8192, 12288)),
         ]
         for job in jobs:
             # Through real JSON text, as the HTTP body would carry it.
@@ -141,14 +147,13 @@ class TestSingleInstance:
             assert client.healthz()["status"] == "ok"
             served = client.submit(jobs)
             assert _bytes(served) == _bytes(direct)
-            stats = client.stats()
-            assert stats["broker"]["executed"] == len(jobs)
+            stats = thread.server.broker.stats
+            assert stats.executed == len(jobs)
             # Second submission: every reply comes from the cache.
             again = client.submit(jobs)
             assert _bytes(again) == _bytes(direct)
-            stats = client.stats()
-            assert stats["broker"]["executed"] == len(jobs)
-            assert stats["broker"]["cache_hits"] == len(jobs)
+            assert stats.executed == len(jobs)
+            assert stats.cache_hits == len(jobs)
         finally:
             thread.stop()
 
@@ -159,7 +164,7 @@ class TestSingleInstance:
             client = ServeClient(thread.url)
             results = client.submit([job, job, job])
             assert len({pickle.dumps(r) for r in results}) == 1
-            assert client.stats()["broker"]["executed"] == 1
+            assert thread.server.broker.stats.executed == 1
         finally:
             thread.stop()
 
@@ -184,7 +189,7 @@ class TestSingleInstance:
                 assert status == 400, bad
                 assert "64 hex digits" in payload["error"]
             # Refused before the broker: no cache lookup happened.
-            assert client.stats()["cache"]["misses"] == 0
+            assert thread.server.broker.cache.stats.misses == 0
         finally:
             thread.stop()
 
@@ -195,7 +200,8 @@ class TestSingleInstance:
             payload = job_to_wire(_matrix_jobs()[0])
             payload["job"]["n"] = TINY_N + 7  # breaks the fingerprint
             reply = client._request(f"{thread.url}/v1/jobs",
-                                    body={"wire": 1, "jobs": [payload]})
+                                    body={"wire": WIRE_VERSION,
+                                          "jobs": [payload]})
             assert reply["jobs"][0]["status"] == "invalid"
             assert "fingerprint" in reply["jobs"][0]["error"]
         finally:
@@ -242,10 +248,10 @@ class TestInflightDedup:
             t_b = threading.Thread(target=submit, args=("b",))
             t_a.start()
             # Both submissions must be in before execution unblocks.
-            poll = ServeClient(thread.url)
+            stats = thread.server.broker.stats
             deadline = time.monotonic() + 30.0
             t_b.start()
-            while poll.stats()["broker"]["submitted"] < 2:
+            while stats.submitted < 2:
                 assert time.monotonic() < deadline, \
                     "submissions never arrived"
                 time.sleep(0.02)
@@ -257,9 +263,8 @@ class TestInflightDedup:
             assert runner.executed.count(job.fingerprint()) == 1
             assert pickle.dumps(results["a"][0]) == \
                 pickle.dumps(results["b"][0])
-            stats = poll.stats()["broker"]
-            assert stats["joined"] == 1
-            assert stats["executed"] == 1
+            assert stats.joined == 1
+            assert stats.executed == 1
         finally:
             gate.set()
             thread.stop()
@@ -289,9 +294,9 @@ class TestRestart:
             client = ServeClient(second.url)
             again = client.submit(jobs)
             assert _bytes(again) == _bytes(direct)
-            stats = client.stats()
-            assert stats["broker"]["executed"] == 0
-            assert stats["broker"]["cache_hits"] == len(jobs)
+            stats = second.server.broker.stats
+            assert stats.executed == 0
+            assert stats.cache_hits == len(jobs)
         finally:
             second.stop()
 
@@ -351,8 +356,9 @@ class TestProgressStreaming:
                          for name in streams]
             for listener in listeners:
                 listener.start()
+            clients = thread.server.metrics.get("repro_serve_sse_clients")
             deadline = time.monotonic() + 30.0
-            while client.stats()["subscribers"] < 2:
+            while clients.value() < 2:
                 assert time.monotonic() < deadline, \
                     "subscribers never registered"
                 time.sleep(0.02)
@@ -375,13 +381,12 @@ class TestProgressStreaming:
 class TestExperimentClientPath:
     def test_serve_runner_defaults_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVE_URL", raising=False)
-        assert serve_runner() is None
+        assert job_runner() is get_runner()
         monkeypatch.setenv("REPRO_SERVE_URL", "0")
-        assert serve_runner() is None
+        assert job_runner() is get_runner()
 
     def test_quick_fig9_through_server_matches_direct(self, monkeypatch):
         from repro.experiments import fig9
-        from repro.runner import reset_runner
         workloads = ["gap.pr", "06.lbm"]
 
         monkeypatch.delenv("REPRO_SERVE_URL", raising=False)
@@ -393,13 +398,35 @@ class TestExperimentClientPath:
             monkeypatch.setenv("REPRO_SERVE_URL", thread.url)
             reset_runner()
             served = fig9.run(n=TINY_N, workloads=workloads)
-            executed = ServeClient(thread.url).stats()["broker"]["executed"]
+            executed = thread.server.broker.stats.executed
             assert executed > 0, "fig9 never reached the server"
         finally:
             thread.stop()
         assert served.headers == direct.headers
         assert served.rows == direct.rows
         assert served.notes == direct.notes
+
+    def test_fig12ts_through_server_matches_direct(self, monkeypatch):
+        # fig12ts builds its jobs with get_runner() at the parent, so it
+        # never reached a server; its jobs also carry a TelemetryConfig.
+        from repro.experiments import fig12
+        kwargs = dict(n=TINY_N, workloads=["gap.pr"])
+
+        monkeypatch.delenv("REPRO_SERVE_URL", raising=False)
+        reset_runner()
+        direct = fig12.run_fig12_intervals(**kwargs)
+
+        thread = _server()
+        try:
+            monkeypatch.setenv("REPRO_SERVE_URL", thread.url)
+            reset_runner()
+            served = fig12.run_fig12_intervals(**kwargs)
+            stats = thread.server.broker.stats
+            assert stats.executed == stats.submitted == 1
+        finally:
+            thread.stop()
+        assert (served.headers, served.rows, served.notes) == \
+            (direct.headers, direct.rows, direct.notes)
 
 
 # -- env knobs -----------------------------------------------------------------
@@ -417,7 +444,7 @@ class TestServeKnobs:
         assert env_url("REPRO_SERVE_URL") == "http://host:8023"
 
 
-# -- observability plane: /metrics, /v1/healthz, trace propagation -------------
+# -- observability plane: /metrics, trace propagation --------------------------
 
 def _metrics_text(url: str):
     """GET /metrics raw: ``(content_type, text)``."""
@@ -434,19 +461,16 @@ def _obs_records(obs_dir) -> List[dict]:
 
 
 class TestObservabilityPlane:
-    def test_v1_healthz(self):
+    def test_status_routes(self):
+        # /healthz answers liveness and /metrics every counter; the
+        # routes that repeated them are gone.
         thread = _server()
         try:
             client = ServeClient(thread.url)
-            health = client.health()
-            assert health["status"] == "ok"
-            assert health["queue_depth"] == 0
-            assert health["inflight"] == 0
-            assert health["subscribers"] == 0
-            assert "memo_hits" in health["cache"]
-            # One instance: neither health view names a shard.
-            assert "shard" not in health
-            assert "shard" not in client.healthz()
+            assert client.healthz()["status"] == "ok"
+            for route in ("/v1/healthz", "/v1/stats"):
+                status, _ = client._get_raw(f"{thread.url}{route}")
+                assert status == 404, route
         finally:
             thread.stop()
 
@@ -486,8 +510,8 @@ class TestObservabilityPlane:
                     if r.get("event") == "job_end"]
             assert len(ends) == len(jobs)
 
-            # The tailer folds job_end metrics sections into the
-            # registry (poll interval 0.05s in this harness).
+            # The tailer folds job_end fields into the registry (poll
+            # interval 0.05s in this harness).
             deadline = time.monotonic() + 30.0
             while True:
                 _, text = _metrics_text(thread.url)
@@ -506,7 +530,6 @@ class TestObservabilityPlane:
                                                       monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "1")
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
         jobs = _matrix_jobs()[:2]
         thread = _server(obs_root=tmp_path / "obs")
         try:
@@ -529,7 +552,6 @@ class TestObservabilityPlane:
                                                monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "1")
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
         jobs = _matrix_jobs()[:4]
         fingerprints = {job.fingerprint() for job in jobs}
         thread = _server(obs_root=tmp_path / "obs")
@@ -565,21 +587,5 @@ class TestObservabilityPlane:
             payload = obs_report.trace_to_json(trace_id, collected)
             assert payload["records"] == len(collected)
             assert len(payload["runs"]) >= 2
-        finally:
-            thread.stop()
-
-    def test_plane_off_is_bit_identical_and_unexposed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        monkeypatch.setenv("REPRO_METRICS", "0")
-        jobs = _matrix_jobs()[:3]
-        direct = _direct(jobs)
-        thread = _server()
-        try:
-            client = ServeClient(thread.url, timeout=120.0)
-            served = client.submit(jobs)
-            assert _bytes(served) == _bytes(direct)
-            assert client.last_context is None
-            status, payload = client._get_raw(f"{thread.url}/metrics")
-            assert status == 404
         finally:
             thread.stop()

@@ -161,27 +161,6 @@ class TestKnobValidation:
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert env_jobs() == 3
 
-    def test_telemetry_env_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert TelemetryConfig.from_env() is None
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert TelemetryConfig.from_env() is None
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        monkeypatch.setenv("REPRO_TELEMETRY_INTERVAL", "250")
-        assert TelemetryConfig.from_env().interval == 250
-        monkeypatch.setenv("REPRO_TELEMETRY_INTERVAL", "abc")
-        with pytest.raises(ValueError, match="REPRO_TELEMETRY_INTERVAL"):
-            TelemetryConfig.from_env()
-
-    def test_telemetry_flag_rejects_junk(self, monkeypatch):
-        # Junk must not read as "on": that would silently change every
-        # experiment's job fingerprints.
-        monkeypatch.delenv("REPRO_TELEMETRY_INTERVAL", raising=False)
-        for junk in ("false", "yes", "on"):
-            monkeypatch.setenv("REPRO_TELEMETRY", junk)
-            with pytest.raises(ValueError, match="REPRO_TELEMETRY"):
-                TelemetryConfig.from_env()
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TelemetryConfig(interval=0)

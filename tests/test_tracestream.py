@@ -21,8 +21,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.envknobs import env_dir, env_tristate
-from repro.obs.progress import wanted as progress_wanted
+from repro.envknobs import env_dir
 from repro.runner import SimJob
 from repro.runner import traces as runner_traces
 from repro.runner.specs import spec
@@ -321,15 +320,6 @@ def trace_dir(tmp_path, monkeypatch):
 
 
 class TestRunnerKnobs:
-    def test_tristate_validation_names_the_variable(self, monkeypatch):
-        for raw, want in (("", None), ("auto", None), ("0", False),
-                          ("1", True)):
-            monkeypatch.setenv("REPRO_PROGRESS", raw)
-            assert env_tristate("REPRO_PROGRESS") is want
-        monkeypatch.setenv("REPRO_PROGRESS", "yes")
-        with pytest.raises(ValueError, match="REPRO_PROGRESS"):
-            progress_wanted()
-
     def test_trace_dir_must_be_a_directory(self, tmp_path, monkeypatch):
         f = tmp_path / "not-a-dir"
         f.write_text("x")
