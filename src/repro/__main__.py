@@ -40,13 +40,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from .checkpoint.store import CheckpointStore
 from .envknobs import env_url
 from .experiments import ALL_EXPERIMENTS
-from .experiments.common import experiment_config
+from .experiments.common import experiment_config, job_runner
 from .experiments.report import TITLES, assemble, collect
 from .obs import report, runlog
 from .runner import ResultCache, SimJob, SimRunner, get_runner, spec
 from .runner.specs import resolve
 from .sampling import PlanStore, get_plan, run_sampled, validate_sampling
-from .serve import JobBroker, Server, ServeClient, ServeUnavailable
+from .serve import JobBroker, Server, ServeClient, ServeRunner, \
+    ServeUnavailable
 from .sim.config import SystemConfig
 from .store import Store, StoreCorrupt, check_key
 from .telemetry import TelemetryConfig
@@ -179,9 +180,15 @@ def experiments_run(args: argparse.Namespace) -> int:
         print(f"== {name} ({time.time() - t0:.1f}s) ==")
         print(result.table())
         print()
-    runner = get_runner()
-    stats = runner.cache.stats.snapshot()
-    print(f"[runner] workers={runner.workers} "
+    # Report the runner that ran the jobs: a job server keeps its own
+    # counters (its /metrics), the local runner ran nothing.
+    runner = job_runner()
+    if isinstance(runner, ServeRunner):
+        print(f"[runner] server={runner.client.base_url}")
+        return 0
+    local = get_runner()
+    stats = local.cache.stats.snapshot()
+    print(f"[runner] workers={local.workers} "
           + " ".join(f"{k}={v}" for k, v in stats.items()))
     return 0
 

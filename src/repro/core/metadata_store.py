@@ -27,10 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..memory.address import fold_hash, hash32
+from ..memory.address import hash32
 from ..memory.metadata_store import PartitionController
 from .replacement import StoredEntry, StreamReplacement
-from .stream_entry import ENTRIES_PER_BLOCK, StreamEntry
+from .stream_entry import ENTRIES_PER_BLOCK, TRIGGER_HASH_BITS, StreamEntry
+
+_HASH_MASK = (1 << TRIGGER_HASH_BITS) - 1
 
 
 @dataclass
@@ -91,6 +93,7 @@ class StreamStore:
         self.indexing = indexing
         self.skewed = skewed
         self.partial_tag_bits = partial_tag_bits
+        self._ptag_mask = (1 << partial_tag_bits) - 1
         self.entries_per_block = ENTRIES_PER_BLOCK[stream_length]
         self.permanent_every = (max(1, llc_sets // permanent_sets)
                                 if permanent_sets else 0)
@@ -113,7 +116,10 @@ class StreamStore:
 
     def set_of(self, trigger: int) -> int:
         """Fixed (maximum-size) index function of filtered indexing."""
-        h = hash32(trigger)
+        return self._home_set(hash32(trigger))
+
+    def _home_set(self, h: int) -> int:
+        """:meth:`set_of` from the trigger's ``hash32``."""
         set_idx = h % self.llc_sets
         if self.skewed:
             set_idx = self._skew(set_idx, h)
@@ -153,37 +159,41 @@ class StreamStore:
 
     # -- location -----------------------------------------------------------------
 
-    def _locate(self, trigger: int) -> Tuple[Optional[int], bool]:
-        """(set index or None-if-filtered, filtered flag)."""
+    def _locate(self, h: int) -> Tuple[Optional[int], bool]:
+        """(set index or None-if-filtered, filtered flag) of the trigger
+        whose ``hash32`` is ``h``."""
         if self.axis == "set":
-            set_idx = self.set_of(trigger)
+            set_idx = self._home_set(h)
             if self.is_allocated(set_idx):
                 return set_idx, False
             if self.indexing == "rearranged" and self.every_nth:
                 # Index over the *current* allocation (the RxS schemes):
                 # entries are never filtered but resizes misplace them.
                 allocated = max(1, self.llc_sets // self.every_nth)
-                return (hash32(trigger) % allocated) * self.every_nth, False
+                return (h % allocated) * self.every_nth, False
             return None, True
         # Way axis: every set is allocated; the way belongs to the index.
         if self.cur_ways == 0:
             return None, True
-        set_idx = hash32(trigger) % self.llc_sets
+        set_idx = h % self.llc_sets
         if self.indexing == "filtered":
-            way = (hash32(trigger) >> 16) % self.meta_ways
+            way = (h >> 16) % self.meta_ways
             if way >= self.cur_ways:
                 return None, True
         return set_idx, False
 
-    def _way_of(self, trigger: int, ways: Optional[int] = None) -> int:
-        ways = ways if ways is not None else max(1, self.cur_ways)
-        return (hash32(trigger) >> 16) % ways
+    def _tags(self, h: int) -> Tuple[int, int]:
+        """(10-bit hashed trigger, partial tag) of the trigger whose
+        ``hash32`` is ``h``: ``fold_hash`` at both widths, one hash."""
+        return ((h ^ (h >> TRIGGER_HASH_BITS)) & _HASH_MASK,
+                (h ^ (h >> self.partial_tag_bits)) & self._ptag_mask)
 
-    def _pool_key(self, set_idx: int, trigger: int) -> Tuple[int, int]:
-        """Replacement domain: whole set when tagged, one way otherwise."""
+    def _pool_key(self, set_idx: int, h: int) -> Tuple[int, int]:
+        """Replacement domain: whole set when tagged, one way otherwise
+        (``h`` is the trigger's ``hash32``)."""
         if self.tagged:
             return (set_idx, -1)
-        return (set_idx, self._way_of(trigger))
+        return (set_idx, (h >> 16) % max(1, self.cur_ways))
 
     def _pool_capacity(self) -> int:
         if self.tagged:
@@ -204,18 +214,19 @@ class StreamStore:
         store; filtered triggers cost nothing and count separately.
         """
         self.stats.lookups += 1
-        set_idx, filtered = self._locate(trigger)
+        h = hash32(trigger)
+        set_idx, filtered = self._locate(h)
         if filtered:
             self.stats.filtered_lookups += 1
             return None
-        key = self._pool_key(set_idx, trigger)
+        key = self._pool_key(set_idx, h)
         pool = self._sets.get(key)
         clock = self._tick(key)
         if not pool:
             return None
-        htrig = fold_hash(trigger, 10)
+        htrig = (h ^ (h >> TRIGGER_HASH_BITS)) & _HASH_MASK
         for stored in pool:
-            if fold_hash(stored.entry.trigger, 10) == htrig:
+            if stored.hashed_trigger == htrig:
                 self.stats.hits += 1
                 if self.replacement is not None:
                     self.replacement.on_access(set_idx, clock, stored)
@@ -226,36 +237,38 @@ class StreamStore:
     def insert(self, entry: StreamEntry) -> bool:
         """Write back a completed entry; returns False when filtered."""
         self.stats.inserts += 1
-        set_idx, filtered = self._locate(entry.trigger)
+        h = hash32(entry.trigger)
+        set_idx, filtered = self._locate(h)
         if filtered:
             self.stats.filtered_inserts += 1
             return False
-        key = self._pool_key(set_idx, entry.trigger)
+        key = self._pool_key(set_idx, h)
         pool = self._sets.setdefault(key, [])
         clock = self._tick(key)
         if self.replacement is not None and entry.targets:
             self.replacement.observe_correlation(
                 set_idx, clock, entry.trigger, entry.targets[0], entry.pc)
-        htrig = fold_hash(entry.trigger, 10)
+        htrig, ptag = self._tags(h)
         for stored in pool:
-            if fold_hash(stored.entry.trigger, 10) == htrig:
+            if stored.hashed_trigger == htrig:
+                # An aliasing trigger shares the 10-bit hash but may
+                # bring a different partial tag.
                 stored.entry = entry.copy()
+                stored.partial_tag = ptag
                 self.stats.overwrites += 1
                 if self.replacement is not None:
                     self.replacement.on_access(set_idx, clock, stored)
                 self.controller.record_write()
                 return True
-        if self.tagged:
-            ptag = fold_hash(entry.trigger, self.partial_tag_bits)
-            if any(fold_hash(s.entry.trigger, self.partial_tag_bits) == ptag
-                   for s in pool):
-                self.stats.alias_inserts += 1
+        if self.tagged and any(s.partial_tag == ptag for s in pool):
+            self.stats.alias_inserts += 1
         if len(pool) >= self._pool_capacity():
             victim = (self.replacement.victim(set_idx, clock, pool)
                       if self.replacement is not None else pool[0])
             pool.remove(victim)
             self.stats.evictions += 1
-        stored = StoredEntry(entry.copy())
+        stored = StoredEntry(entry.copy(), hashed_trigger=htrig,
+                             partial_tag=ptag)
         if self.replacement is not None:
             self.replacement.on_insert(set_idx, clock, stored)
         pool.append(stored)
@@ -282,11 +295,11 @@ class StreamStore:
         moved_blocks = set()
         for old_key, pool in old.items():
             for stored in pool:
-                trigger = stored.entry.trigger
-                set_idx, filtered = self._locate(trigger)
+                h = hash32(stored.entry.trigger)
+                set_idx, filtered = self._locate(h)
                 if filtered:
                     continue  # dropped, no traffic
-                new_key = self._pool_key(set_idx, trigger)
+                new_key = self._pool_key(set_idx, h)
                 dest = self._sets.setdefault(new_key, [])
                 if len(dest) >= self._pool_capacity():
                     continue  # no room at the new location
@@ -334,11 +347,15 @@ class StreamStore:
         self.cur_ways = int(state["cur_ways"])
         sets: Dict[Tuple[int, int], List[StoredEntry]] = {}
         for k0, k1, rows in state["sets"]:
-            sets[(int(k0), int(k1))] = [
-                StoredEntry(StreamEntry.from_state(entry_row),
-                            rrpv=int(rrpv), pred_level=int(pred_level),
-                            inserted_clock=int(inserted_clock))
-                for entry_row, rrpv, pred_level, inserted_clock in rows]
+            pool: List[StoredEntry] = []
+            for entry_row, rrpv, pred_level, inserted_clock in rows:
+                entry = StreamEntry.from_state(entry_row)
+                htrig, ptag = self._tags(hash32(entry.trigger))
+                pool.append(StoredEntry(
+                    entry, rrpv=int(rrpv), pred_level=int(pred_level),
+                    inserted_clock=int(inserted_clock),
+                    hashed_trigger=htrig, partial_tag=ptag))
+            sets[(int(k0), int(k1))] = pool
         self._sets = sets
         self._clock = {(int(k0), int(k1)): int(n)
                        for k0, k1, n in state["clock"]}
@@ -356,8 +373,7 @@ class StreamStore:
         for pool in self._sets.values():
             tags: Dict[int, int] = {}
             for s in pool:
-                t = fold_hash(s.entry.trigger, self.partial_tag_bits)
-                tags[t] = tags.get(t, 0) + 1
+                tags[s.partial_tag] = tags.get(s.partial_tag, 0) + 1
             for count in tags.values():
                 total += count
                 if count > 1:

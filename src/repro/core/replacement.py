@@ -48,12 +48,27 @@ def dequantize(level: int) -> int:
 @dataclass
 class StoredEntry:
     """A stream entry resident in the metadata store, plus replacement
-    state (the store owns these; policies read/update them)."""
+    state (the store owns these; policies read/update them).
+
+    ``hashed_trigger`` and ``partial_tag`` cache ``entry``'s 10-bit
+    hashed trigger and partial tag, so a pool scan compares ints instead
+    of re-hashing every resident trigger.  Both are derived (never
+    serialized): the store sets them whenever it places or overwrites
+    an entry, and they default to the entry's own values.
+    """
 
     entry: StreamEntry
     rrpv: int = 2
     pred_level: int = 3
     inserted_clock: int = 0
+    hashed_trigger: int = -1
+    partial_tag: int = -1
+
+    def __post_init__(self) -> None:
+        if self.hashed_trigger < 0:
+            self.hashed_trigger = self.entry.hashed_trigger
+        if self.partial_tag < 0:
+            self.partial_tag = self.entry.partial_tag
 
 
 class StreamReplacement:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..memory.events import EV
+from ..memory.events import DEMAND, EV
 from ..memory.metadata_store import PartitionController
 from ..prefetchers.base import Prefetcher, TRAIN_SCOPE_TEMPORAL
 from .alignment import align, find_alignable, realign
@@ -161,7 +161,8 @@ class StreamlinePrefetcher(Prefetcher):
         # is about to find — as in the hardware race it models.
         self._stripe = (hier.core_id, cores)
         if self.dynamic:
-            hier.bus.subscribe(EV.ACCESS, self._on_llc_demand)
+            hier.bus.subscribe(EV.ACCESS, self._on_llc_demand,
+                               origin=DEMAND)
             self._duel_bus = hier.bus
 
     def detach(self, hier) -> None:
@@ -170,9 +171,8 @@ class StreamlinePrefetcher(Prefetcher):
             self._duel_bus = None
 
     def _on_llc_demand(self, ev) -> None:
-        """LLC-side dueling feed (any core's demand access)."""
-        if ev.origin != "demand":
-            return
+        """LLC-side dueling feed (any core's demand access; the
+        subscription is scoped to the demand origin)."""
         blk = ev.blk
         offset, step = self._stripe
         llc_set = blk % (self.partitioner.llc_sets * step)

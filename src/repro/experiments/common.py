@@ -175,32 +175,17 @@ def suite_geomeans(runs: Sequence[SingleCoreRun], config: str
     return out
 
 
-def irregular_subset(workloads: Sequence[str], n: int,
-                     config: Optional[SystemConfig] = None,
-                     headroom: float = 0.05, seed: int = 1234,
-                     runner: Optional[JobRunner] = None) -> List[str]:
+def irregular_subset(runs: Sequence[SingleCoreRun],
+                     headroom: float = 0.05) -> List[str]:
     """The paper's irregular subset: >=5% speedup headroom under an
     idealized Triage with unlimited metadata (Section V-A3).
 
-    The stride baselines share fingerprints with :func:`run_matrix`, so
-    a caller that already ran the matrix pays only for the ideal-Triage
-    runs here.
+    ``runs`` must carry an ``"ideal-triage"`` result, i.e. come from a
+    :func:`run_matrix` whose configs include ``spec("ideal-triage")``,
+    so the ideal runs share the matrix's batch and baselines.
     """
-    config = config or experiment_config()
-    runner = runner or job_runner()
-    ideal = spec("ideal-triage")
-    jobs = []
-    for wl in workloads:
-        jobs.append(SimJob.single(wl, n, config, l1=STRIDE_L1, seed=seed))
-        jobs.append(SimJob.single(wl, n, config, l1=STRIDE_L1,
-                                  l2=(ideal,), seed=seed))
-    results = runner.run(jobs)
-    subset = []
-    for i, wl in enumerate(workloads):
-        base, ideal_res = results[2 * i].single, results[2 * i + 1].single
-        if ideal_res.ipc / base.ipc >= 1.0 + headroom:
-            subset.append(wl)
-    return subset
+    return [r.workload for r in runs
+            if r.speedup("ideal-triage") >= 1.0 + headroom]
 
 
 # -- multicore helpers -----------------------------------------------------------

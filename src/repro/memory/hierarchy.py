@@ -11,8 +11,8 @@ events published at fixed points of that walk.
 
 The flow per demand access matches the paper's setup:
 
-* L1D prefetchers (IP-stride, Berti) subscribe to L1D lookup events
-  (they observe every L1D access) and prefetch into the L1D.
+* L1D prefetchers (IP-stride, Berti) subscribe to lookup events scoped
+  to the L1D (they observe every L1D access) and prefetch into the L1D.
 * L2-level prefetchers subscribe to ``demand-complete`` events, which
   fire for every access that reached the L2.  Their
   :attr:`~repro.prefetchers.base.Prefetcher.train_scope` declares what
@@ -144,7 +144,7 @@ class CoreHierarchy:
         pf.attach(self)
         for kind in (EV.LOOKUP_HIT, EV.LOOKUP_MISS):
             trainer = self._make_l1_trainer(pf)
-            self.bus.subscribe(kind, trainer)
+            self.bus.subscribe(kind, trainer, level="l1d")
             self._pf_subs.append((kind, trainer))
 
     def attach_l2_prefetcher(self, pf: Prefetcher) -> None:
@@ -178,12 +178,13 @@ class CoreHierarchy:
             pf.detach(self)
 
     def _make_l1_trainer(self, pf: Prefetcher):
-        """L1D training: every demand lookup at this core's L1D."""
+        """L1D training: every demand lookup at this core's L1D (the
+        subscription is scoped to ``l1d``; the core is tested here)."""
         core_id = self.core_id
         prof = self.profiler
         if prof is None:
             def train(ev: HierarchyEvent) -> None:
-                if ev.level != "l1d" or ev.core_id != core_id:
+                if ev.core_id != core_id:
                     return
                 for cand in pf.train(ev.pc, ev.blk, ev.hit,
                                      ev.was_prefetched, ev.now):
@@ -194,7 +195,7 @@ class CoreHierarchy:
         issue_span = "issue:" + pf.name
 
         def train_profiled(ev: HierarchyEvent) -> None:
-            if ev.level != "l1d" or ev.core_id != core_id:
+            if ev.core_id != core_id:
                 return
             prof.start(train_span)
             try:
@@ -381,11 +382,11 @@ class CoreHierarchy:
         """
         victim = self.l2.fill(blk, now, pc, dirty=True)
         self.bus.publish(EV.FILL, "l2", self.core_id, blk, pc, WRITEBACK,
-                         now, dirty=True)
+                         now, False, False, -1, True)
         if victim is not None:
             self.bus.publish(EV.EVICTION, "l2", self.core_id, victim.blk,
-                             victim.pc, WRITEBACK, now, owner=victim.owner,
-                             dirty=victim.dirty)
+                             victim.pc, WRITEBACK, now, False, False,
+                             victim.owner, victim.dirty)
 
     def _llc_writeback(self, blk: int, pc: int, now: float) -> None:
         """A dirty L2 victim lands in the LLC.
@@ -397,11 +398,11 @@ class CoreHierarchy:
         uncore.port_delay(now)
         victim = uncore.llc.fill(blk, now, pc, dirty=True)
         self.bus.publish(EV.FILL, "llc", self.core_id, blk, pc, WRITEBACK,
-                         now, dirty=True)
+                         now, False, False, -1, True)
         if victim is not None:
             self.bus.publish(EV.EVICTION, "llc", self.core_id, victim.blk,
-                             victim.pc, WRITEBACK, now, owner=victim.owner,
-                             dirty=victim.dirty)
+                             victim.pc, WRITEBACK, now, False, False,
+                             victim.owner, victim.dirty)
             if victim.dirty:
                 uncore.dram.access(victim.blk, now, is_write=True)
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..memory.address import fold_hash, hash32
+from ..memory.address import hash32
 from ..memory.metadata_store import PartitionController
 
 TRIGGER_TAG_BITS = 10
+TAG_MASK = (1 << TRIGGER_TAG_BITS) - 1
 
 
 class PairwiseEntry:
@@ -151,6 +152,11 @@ class PairwiseStore:
 
     def _index(self, trigger: int, ways: Optional[int] = None
                ) -> Optional[Tuple[int, int]]:
+        """(set, way) under ``ways`` metadata ways (default: current).
+
+        :meth:`lookup` and :meth:`insert` inline this and the tag
+        (``fold_hash(trigger, TRIGGER_TAG_BITS)``) from one ``hash32``.
+        """
         ways = self.ways if ways is None else ways
         if ways <= 0:
             return None
@@ -158,9 +164,6 @@ class PairwiseStore:
         set_idx = h % self.llc_sets
         way = (h >> 16) % ways
         return set_idx, way
-
-    def _tag(self, trigger: int) -> int:
-        return fold_hash(trigger, TRIGGER_TAG_BITS)
 
     # -- MRB ---------------------------------------------------------------
 
@@ -212,14 +215,16 @@ class PairwiseStore:
         Counts one metadata read unless the block sits in the MRB.
         """
         self.lookups += 1
-        loc = self._index(trigger)
-        if loc is None:
+        ways = self.ways
+        if ways <= 0:
             return None
+        h = hash32(trigger)
+        loc = (h % self.llc_sets, (h >> 16) % ways)
         block = self._blocks.get(loc)
         if not block:
             return None  # the LLC tag store filters the miss: no transfer
         self._touch_block(loc, write=False)
-        tag = self._tag(trigger)
+        tag = (h ^ (h >> TRIGGER_TAG_BITS)) & TAG_MASK
         for e in block:
             if e.tag == tag:
                 e.rrpv = 0
@@ -232,13 +237,15 @@ class PairwiseStore:
 
     def insert(self, trigger: int, target: int) -> None:
         """Store/refresh the correlation (trigger -> target)."""
-        loc = self._index(trigger)
-        if loc is None:
+        ways = self.ways
+        if ways <= 0:
             return
+        h = hash32(trigger)
+        loc = (h % self.llc_sets, (h >> 16) % ways)
         self.inserts += 1
         stored = self.lut.encode(target) if self.compressed else target
         block = self._blocks.setdefault(loc, [])
-        tag = self._tag(trigger)
+        tag = (h ^ (h >> TRIGGER_TAG_BITS)) & TAG_MASK
         for e in block:
             if e.tag == tag:
                 if e.target == stored:

@@ -28,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..memory.events import EV
+from ..memory.events import DEMAND, EV
 from ..memory.metadata_store import PartitionController
 from .base import Prefetcher, TRAIN_SCOPE_TEMPORAL
 from .pairwise import PairwiseStore
@@ -209,7 +209,8 @@ class TriangelPrefetcher(Prefetcher):
         self._stripe = (hier.core_id, cores)
         self._duel_events = 0
         if self.adaptive and not self.dedicated:
-            hier.bus.subscribe(EV.ACCESS, self._on_llc_demand)
+            hier.bus.subscribe(EV.ACCESS, self._on_llc_demand,
+                               origin=DEMAND)
             self._duel_bus = hier.bus
 
     def detach(self, hier) -> None:
@@ -218,8 +219,8 @@ class TriangelPrefetcher(Prefetcher):
             self._duel_bus = None
 
     def _on_llc_demand(self, ev) -> None:
-        if ev.origin != "demand":
-            return
+        """LLC-side dueling feed (any core's demand access; the
+        subscription is scoped to the demand origin)."""
         blk = ev.blk
         offset, step = self._stripe
         llc_set = blk % (self.partitioner.llc_sets * step)

@@ -91,42 +91,33 @@ class IntervalSampler:
         self._gauge_cols: Dict[str, List[float]] = \
             {g: [] for g in self.gauges}
         self._core_rate_cols: Dict[int, List[float]] = {}
-        # One handler per event kind, fanning into the matching counters.
-        self._by_kind: Dict[str, List[str]] = {}
-        for name in self.counters:
-            kind = COUNTER_SPECS[name][0]
-            self._by_kind.setdefault(kind, []).append(name)
+        # One counting handler per counter, subscribed with the counter's
+        # level/origin filter as its scope.
         self._handlers: List[Tuple[str, Callable[[HierarchyEvent], None]]] = []
-        for kind in self._by_kind:
-            handler = self._make_handler(kind)
+        for name in self.counters:
+            kind, level, origin = COUNTER_SPECS[name]
+            handler = self._make_counter(name)
             self._handlers.append((kind, handler))
-            bus.subscribe(kind, handler)
+            bus.subscribe(kind, handler, level=level or None,
+                          origin=origin or None)
         # Pacing subscriptions (shared with counting when l1d hits/misses
         # are themselves sampled — the handlers above only count).
         for kind in (EV.LOOKUP_HIT, EV.LOOKUP_MISS):
             self._handlers.append((kind, self._on_l1d_lookup))
-            bus.subscribe(kind, self._on_l1d_lookup)
+            bus.subscribe(kind, self._on_l1d_lookup, level="l1d")
 
     # -- event side ---------------------------------------------------------
 
-    def _make_handler(self, kind: str):
-        names = self._by_kind[kind]
-        specs = [COUNTER_SPECS[n] for n in names]
+    def _make_counter(self, name: str):
         cum = self._cum
 
-        def handle(ev: HierarchyEvent) -> None:
-            for name, (_, level, origin) in zip(names, specs):
-                if level and ev.level != level:
-                    continue
-                if origin and ev.origin != origin:
-                    continue
-                cum[name] += 1
-        return handle
+        def count(ev: HierarchyEvent) -> None:
+            cum[name] += 1
+        return count
 
     def _on_l1d_lookup(self, ev: HierarchyEvent) -> None:
-        """Pacing: one L1D lookup == one committed demand access."""
-        if ev.level != "l1d":
-            return
+        """Pacing: one L1D lookup == one committed demand access (the
+        subscription is scoped to ``l1d``)."""
         self._accesses += 1
         if ev.now > self._clock:
             self._clock = ev.now

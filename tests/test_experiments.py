@@ -12,6 +12,7 @@ from repro.experiments.common import (ExperimentResult, experiment_config,
                                       irregular_subset, run_matrix,
                                       workload_set)
 from repro.prefetchers.triangel import TriangelPrefetcher
+from repro.runner import reset_runner, spec
 
 TINY = dict(n=4000)
 MINI_WL = ["gap.pr", "06.lbm"]
@@ -45,11 +46,31 @@ def test_experiment_config_is_scaled():
 
 
 def test_run_matrix_and_irregular_subset():
-    runs = run_matrix(MINI_WL, 4000, {"triangel": TriangelPrefetcher})
+    runs = run_matrix(MINI_WL, 4000, {"triangel": TriangelPrefetcher,
+                                      "ideal-triage": spec("ideal-triage")})
     assert len(runs) == 2
-    assert all("triangel" in r.results for r in runs)
-    subset = irregular_subset(MINI_WL, 4000)
+    assert all({"triangel", "ideal-triage"} <= set(r.results)
+               for r in runs)
+    subset = irregular_subset(runs)
     assert "06.lbm" not in subset  # streams have no temporal headroom
+    assert subset == [r.workload for r in runs
+                      if r.results["ideal-triage"].ipc / r.baseline.ipc
+                      >= 1.05]
+    assert irregular_subset(runs, headroom=-1.0) == MINI_WL
+
+
+def test_fig9_submits_one_batch(monkeypatch, tmp_path):
+    # The ideal-Triage oracle rides in the matrix batch: one run log,
+    # one run_start, however many workloads need the oracle.
+    from repro.obs import runlog
+    monkeypatch.setenv("REPRO_OBS", "1")
+    monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+    reset_runner()  # cold: nothing memoized by earlier tests
+    ALL_EXPERIMENTS["fig9"](n=3000, workloads=MINI_WL)
+    events = [record["event"] for run in runlog.list_runs()
+              for record in runlog.load_runlog(run / runlog.MERGED)]
+    assert events.count("run_start") == 1
+    assert events.count("job_end") == 8  # 2 workloads x 4 configs
 
 
 @pytest.mark.parametrize("exp_id", ["table1", "table2"])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
-from repro.memory.events import EV, EventBus
+from repro.memory.events import EV, EventBus, HierarchyEvent
 from repro.memory.hierarchy import CoreHierarchy, SharedUncore
 from repro.prefetchers.base import (Prefetcher, TRAIN_SCOPE_ALL_L2,
                                     TRAIN_SCOPE_TEMPORAL)
@@ -12,12 +12,30 @@ from repro.sim.multicore import REGION_BITS, REGION_MASK, RegionView
 from repro.sim.trace import TraceBuilder
 
 
-def build(l1_kb=4, l2_kb=16, llc_kb=64):
+def build(l1_kb=4, l2_kb=16, llc_kb=64, bus=None):
     l1 = Cache("L1D", l1_kb * 1024, 4, 5)
     l2 = Cache("L2", l2_kb * 1024, 8, 10)
     llc = Cache("LLC", llc_kb * 1024, 16, 20, replacement="srrip")
-    uncore = SharedUncore(llc, DRAM(channels=1, base_latency=100.0))
+    uncore = SharedUncore(llc, DRAM(channels=1, base_latency=100.0),
+                          bus=bus)
     return CoreHierarchy(0, l1, l2, uncore), uncore
+
+
+class SpyBus(EventBus):
+    """Logs ``(kind, level, origin)`` of every delivery, per handler."""
+
+    def __init__(self):
+        super().__init__()
+        self.deliveries = {}
+
+    def subscribe(self, kind, fn, **scope):
+        log = self.deliveries.setdefault(getattr(fn, "__qualname__", ""),
+                                         [])
+
+        def spy(ev):
+            log.append((ev.kind, ev.level, ev.origin))
+            fn(ev)
+        super().subscribe(kind, spy, **scope)
 
 
 class Recorder(Prefetcher):
@@ -62,6 +80,135 @@ class TestEventBus:
         bus.unsubscribe(EV.FILL, first)
         bus.publish(EV.FILL, "l2", 0, 8)
         assert seen[-1] == ("second", 8)
+
+    def test_events_are_immutable_tuples(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(EV.FILL, seen.append)
+        bus.publish(EV.FILL, "l2", 3, 42, 7, "prefetch", 1.5, True, True,
+                    2, True)
+        (ev,) = seen
+        assert isinstance(ev, tuple) and type(ev) is HierarchyEvent
+        assert ev == HierarchyEvent(EV.FILL, "l2", 3, 42, 7, "prefetch",
+                                    1.5, True, True, 2, True)
+        with pytest.raises(AttributeError):
+            ev.blk = 0
+
+    def test_scoped_delivery_in_subscription_order(self):
+        bus = EventBus()
+        seen = []
+
+        def sub(name, **scope):
+            bus.subscribe(EV.FILL, lambda ev: seen.append(name), **scope)
+        sub("any")
+        sub("l2", level="l2")
+        sub("prefetch", origin="prefetch")
+        sub("l2-prefetch", level="l2", origin="prefetch")
+        expected = {
+            ("l1d", "demand"): ["any"],
+            ("l1d", "prefetch"): ["any", "prefetch"],
+            ("l2", "demand"): ["any", "l2"],
+            ("l2", "prefetch"): ["any", "l2", "prefetch", "l2-prefetch"],
+        }
+        for (level, origin), names in expected.items():
+            seen.clear()
+            bus.publish(EV.FILL, level, 0, 1, origin=origin)
+            assert seen == names, (level, origin)
+
+    def test_subscribe_and_unsubscribe_rewire_published_keys(self):
+        bus = EventBus()
+        seen = []
+        bus.publish(EV.FILL, "l2", 0, 1)   # slots exist before anyone
+        bus.publish(EV.FILL, "l1d", 0, 2)  # subscribes
+        late = seen.append
+        bus.subscribe(EV.FILL, late, level="l2")
+        bus.publish(EV.FILL, "l2", 0, 3)
+        bus.publish(EV.FILL, "l1d", 0, 4)
+        assert [ev.blk for ev in seen] == [3]
+        bus.unsubscribe(EV.FILL, late)
+        bus.publish(EV.FILL, "l2", 0, 5)
+        assert [ev.blk for ev in seen] == [3]
+        assert bus.count(EV.FILL) == 5
+
+    def test_counts_keep_first_publish_order(self):
+        bus = EventBus()
+        bus.subscribe(EV.FILL, lambda ev: None, level="l2")
+        keys = [(EV.FILL, "l2", "demand"), (EV.ACCESS, "llc", "prefetch"),
+                (EV.FILL, "l1d", "demand")]
+        for kind, level, origin in keys + keys[:1]:
+            bus.publish(kind, level, 0, 1, origin=origin)
+        assert list(bus.counts) == keys
+        assert list(bus.counts.values()) == [2, 1, 1]
+        state = bus.state_dict()
+        assert [tuple(row[:3]) for row in state["counts"]] == keys
+        # A reset forgets the order with the counts.
+        bus.reset_counts()
+        assert bus.counts == {} and bus.state_dict() == {"counts": []}
+        for kind, level, origin in keys[::-1]:
+            bus.publish(kind, level, 0, 1, origin=origin)
+        assert list(bus.counts) == keys[::-1]
+        # load_state restores the saved order, and the loaded slots
+        # still deliver to (only) their matching subscribers.
+        bus.load_state(state)
+        assert bus.state_dict() == state
+        assert list(bus.counts) == keys
+        seen = []
+        bus.subscribe(EV.FILL, seen.append, level="l1d")
+        bus.publish(EV.FILL, "l1d", 0, 9)
+        bus.publish(EV.FILL, "l2", 0, 10)
+        assert [ev.blk for ev in seen] == [9]
+        assert list(bus.counts.values()) == [3, 1, 2]
+        fresh = EventBus()
+        fresh.load_state(bus.state_dict())
+        assert fresh.counts == bus.counts
+        assert list(fresh.counts) == list(bus.counts)
+
+
+class TestScopedSubscribers:
+    """Observers subscribe with scopes, so events outside them are never
+    delivered (the handlers no longer test level or origin)."""
+
+    def test_l1_trainer_gets_only_l1d_lookups(self):
+        bus = SpyBus()
+        core, _ = build(bus=bus)
+        pf = Recorder(TRAIN_SCOPE_ALL_L2)
+        core.attach_l1_prefetcher(pf)
+        core.access(0x1, 0x1000, False, 0.0)     # misses every level
+        core.access(0x1, 0x1000, False, 1000.0)  # L1 hit
+        (log,) = [v for k, v in bus.deliveries.items() if "l1" in k]
+        assert log == [(EV.LOOKUP_MISS, "l1d", "demand"),
+                       (EV.LOOKUP_HIT, "l1d", "demand")]
+        assert len(pf.events) == 2
+
+    @pytest.mark.parametrize("name", ["triangel", "streamline"])
+    def test_dueler_gets_only_demand_accesses(self, name):
+        from repro.core.streamline import StreamlinePrefetcher
+        from repro.prefetchers import TriangelPrefetcher
+        cls = {"triangel": TriangelPrefetcher,
+               "streamline": StreamlinePrefetcher}[name]
+        bus = SpyBus()
+        core, _ = build(bus=bus)
+        core.attach_l2_prefetcher(cls())
+        core.access(0x1, 0x1000, False, 0.0)
+        core.issue_prefetch(0x9000 >> 6, 0x1, 10.0, 0)
+        core.access(0x1, 0x2000, False, 20.0)
+        (log,) = [v for k, v in bus.deliveries.items()
+                  if "_on_llc_demand" in k]
+        assert log == [(EV.ACCESS, "llc", "demand")] * 2
+        assert bus.count(EV.ACCESS, origin="prefetch") == 1
+
+    def test_telemetry_pacing_gets_only_l1d_lookups(self):
+        from repro.telemetry import TelemetryConfig
+        from repro.telemetry.intervals import IntervalSampler
+        bus = SpyBus()
+        core, _ = build(bus=bus)
+        sampler = IntervalSampler(bus, TelemetryConfig(interval=1))
+        core.access(0x1, 0x1000, False, 0.0)
+        core.access(0x1, 0x1000, False, 1000.0)
+        (log,) = [v for k, v in bus.deliveries.items()
+                  if "_on_l1d_lookup" in k]
+        assert [level for _, level, _ in log] == ["l1d", "l1d"]
+        assert sampler.series()["access"] == [1, 2]
 
 
 def record_lookups(bus):

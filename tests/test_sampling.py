@@ -9,6 +9,8 @@ entries via ``SimJob.window``.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from repro.sampling import (DEFAULT_ERROR_BOUNDS, FEATURE_NAMES,
                             PlanStore, build_plan, extract_features,
                             get_plan, kmeans, pick_representatives,
                             sampled_jobs, validate_sampling)
+from repro.sampling.features import RD_BUCKETS
 from repro.sampling.plan import plan_key
+from repro.workloads import make_chunks
 
 CFG = experiment_config()
 STRIDE = spec("stride")
@@ -68,7 +72,67 @@ class TestCluster:
 
 # -- features ------------------------------------------------------------------
 
+def reference_features(workload: str, n: int, interval: int) -> np.ndarray:
+    """Every feature's per-record definition, as a plain loop."""
+    records = []
+    for c in make_chunks(workload, n):
+        records += zip((c.addrs >> 6).tolist(), c.pcs.tolist(),
+                       c.writes.tolist(), c.deps.tolist(), c.gaps.tolist())
+    last_seen, prev, rows = {}, None, []
+    for lo in range(0, n // interval * interval, interval):
+        blocks, pcs = set(), set()
+        new = writes = deps = seq = gaps = 0
+        hist = [0] * RD_BUCKETS
+        for idx in range(lo, lo + interval):
+            blk, pc, write, dep, gap = records[idx]
+            blocks.add(blk)
+            pcs.add(pc)
+            writes += bool(write)
+            deps += bool(dep)
+            gaps += gap
+            seq += prev is not None and abs(blk - prev) <= 1
+            prev = blk
+            if blk in last_seen:
+                dist = idx - last_seen[blk]
+                hist[min(RD_BUCKETS - 1, dist.bit_length() - 1)] += 1
+            else:
+                new += 1
+            last_seen[blk] = idx
+        inv = 1.0 / interval
+        rows.append([x * inv for x in (len(blocks), new, writes, deps,
+                                       len(pcs), seq, gaps, *hist)])
+    return np.asarray(rows, dtype=np.float64)
+
+
 class TestFeatures:
+    # sha256 of ``.matrix.tobytes()``, pinned from the per-record loop
+    # the numpy slabs replaced: several chunks; an interval that divides
+    # neither the chunk size nor n; a short trace; 7-record intervals.
+    PINNED = [
+        ("gap.pr", 200_000, 8192,
+         "5946c0e42ee90ae99f36de424c56e98344200bae33c664b866c5ca50e7950c4f"),
+        ("06.omnetpp", 150_001, 3000,
+         "166a5f0c8a9f2b1c03208b76563c652c107c7d86e6f89df2750e0d76a1acdb5b"),
+        ("17.xalancbmk", 24_000, 2000,
+         "a23d9324a9007b596d8a6f34219f2ffce4c454c497a8dc45893aead7766eac52"),
+        ("srv.kv", 70_000, 7,
+         "e0df943527ca5f822431959671115c2a04e81355247db3c750e3aa9499c53cf9"),
+    ]
+
+    @pytest.mark.parametrize("workload,n,interval,digest", PINNED)
+    def test_matrix_digest_pinned(self, workload, n, interval, digest):
+        feats = extract_features(workload, n, interval)
+        assert feats.matrix.shape == (n // interval, len(FEATURE_NAMES))
+        assert hashlib.sha256(feats.matrix.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workload,n,interval", [
+        ("gap.pr", 70_000, 3000), ("06.mcf", 24_000, 2000),
+        ("srv.kv", 5000, 7), ("06.lbm", 9000, 9000)])
+    def test_matches_the_per_record_definition(self, workload, n,
+                                               interval):
+        assert np.array_equal(extract_features(workload, n, interval).matrix,
+                              reference_features(workload, n, interval))
+
     def test_deterministic_and_shaped(self):
         a = extract_features("gap.pr", 6000, 500)
         b = extract_features("gap.pr", 6000, 500)

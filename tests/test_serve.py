@@ -406,6 +406,30 @@ class TestExperimentClientPath:
         assert served.rows == direct.rows
         assert served.notes == direct.notes
 
+    def test_cli_runner_line_names_the_server(self, monkeypatch, capsys):
+        # A served run's [runner] line names the server; the local
+        # runner's counters (all zero: it ran nothing) are not printed.
+        from repro.__main__ import main
+        from repro.experiments import ALL_EXPERIMENTS, fig12
+        monkeypatch.setitem(
+            ALL_EXPERIMENTS, "fig12ts",
+            lambda: fig12.run_fig12_intervals(n=TINY_N,
+                                              workloads=["gap.pr"]))
+        thread = _server()
+        try:
+            monkeypatch.setenv("REPRO_SERVE_URL", thread.url)
+            reset_runner()
+            assert main(["experiments", "fig12ts"]) == 0
+            assert thread.server.broker.stats.executed == 1
+        finally:
+            thread.stop()
+        last = capsys.readouterr().out.rstrip().splitlines()[-1]
+        assert last == f"[runner] server={thread.url}"
+        monkeypatch.delenv("REPRO_SERVE_URL")
+        assert main(["experiments", "fig12ts"]) == 0
+        last = capsys.readouterr().out.rstrip().splitlines()[-1]
+        assert last.startswith("[runner] workers=") and "misses=1" in last
+
     def test_fig12ts_through_server_matches_direct(self, monkeypatch):
         # fig12ts builds its jobs with get_runner() at the parent, so it
         # never reached a server; its jobs also carry a TelemetryConfig.

@@ -5,6 +5,7 @@ import pytest
 from repro.core.metadata_store import StreamStore
 from repro.core.replacement import make_stream_replacement
 from repro.core.stream_entry import StreamEntry
+from repro.memory.address import fold_hash
 from repro.memory.metadata_store import PartitionController
 
 
@@ -182,6 +183,76 @@ class TestWayAxis:
         for t in range(400):
             store.insert(entry(t, [t + 1]))
         assert store.stats.filtered_inserts > 100
+
+
+class TestHashCaches:
+    """Resident entries cache their 10-bit hashed trigger and partial
+    tag; every comparison must agree with re-hashing the trigger."""
+
+    @staticmethod
+    def _cached_fields_match(store):
+        return all(s.hashed_trigger == fold_hash(s.entry.trigger, 10)
+                   and s.partial_tag == fold_hash(s.entry.trigger, 6)
+                   for pool in store._sets.values() for s in pool)
+
+    def test_aliasing_overwrite_updates_partial_tag(self):
+        store, _ = make_store(sets=16, permanent_sets=0)
+        by_key = {}
+        for t in range(1, 5000):  # two triggers: same set and hash
+            key = (store.set_of(t), fold_hash(t, 10))
+            old = by_key.setdefault(key, t)
+            if fold_hash(old, 6) != fold_hash(t, 6):
+                break
+        first, alias = old, t
+        store.insert(entry(first, [1]))
+        store.insert(entry(alias, [2]))
+        assert store.stats.overwrites == 1 and store.valid_entries() == 1
+        (stored,) = store._sets[(store.set_of(alias), -1)]
+        assert stored.entry.trigger == alias
+        assert stored.partial_tag == fold_hash(alias, 6) != \
+            fold_hash(first, 6)
+        # A newcomer sharing only the *old* partial tag does not alias
+        # any more; one sharing the new tag does.
+        same_set = [t for t in range(1, 5000)
+                    if store.set_of(t) == store.set_of(alias)
+                    and fold_hash(t, 10) != fold_hash(alias, 10)]
+        stale = next(t for t in same_set
+                     if fold_hash(t, 6) == fold_hash(first, 6))
+        store.insert(entry(stale, [3]))
+        assert store.stats.alias_inserts == 0
+        fresh = next(t for t in same_set
+                     if fold_hash(t, 6) == fold_hash(alias, 6))
+        store.insert(entry(fresh, [4]))
+        assert store.stats.alias_inserts == 1
+        assert self._cached_fields_match(store)
+
+    def test_alias_inserts_match_a_recomputation(self):
+        import random
+        rng = random.Random(5)
+        store, _ = make_store(sets=16, permanent_sets=0)
+        expected = 0
+        for _ in range(3000):
+            t = rng.randrange(1, 4000)
+            pool = store._sets.get((store.set_of(t), -1), [])
+            triggers = [s.entry.trigger for s in pool]
+            if all(fold_hash(u, 10) != fold_hash(t, 10) for u in triggers):
+                expected += any(fold_hash(u, 6) == fold_hash(t, 6)
+                                for u in triggers)
+            store.insert(entry(t, [t + 1]))
+        assert store.stats.overwrites > 0
+        assert store.stats.alias_inserts == expected > 0
+        assert self._cached_fields_match(store)
+
+    def test_load_state_rebuilds_cached_fields(self):
+        store, _ = make_store(sets=16, permanent_sets=0)
+        for t in range(1, 400):
+            store.insert(entry(t * 13, [t]))
+        back, _ = make_store(sets=16, permanent_sets=0)
+        back.load_state(store.state_dict())
+        assert back.state_dict() == store.state_dict()
+        assert self._cached_fields_match(back)
+        assert [back.lookup(t * 13) is not None for t in range(1, 400)] \
+            == [store.lookup(t * 13) is not None for t in range(1, 400)]
 
 
 class TestDiagnostics:

@@ -114,6 +114,31 @@ class TestBusHygiene:
         assert bus.subscriber_count(EV.FILL) == 0
         assert bus.subscriber_count() == 0
 
+    def test_scoped_subscriptions_count_and_unsubscribe_idempotently(self):
+        bus = EventBus()
+        seen = []
+        fn = seen.append
+        bus.subscribe(EV.LOOKUP_HIT, fn, level="l1d")
+        bus.subscribe(EV.ACCESS, fn, origin="demand")
+        bus.subscribe(EV.ACCESS, fn)
+        assert bus.subscriber_count(EV.ACCESS) == 2
+        assert bus.subscriber_count(EV.LOOKUP_HIT) == 1
+        assert bus.subscriber_count() == 3
+        bus.publish(EV.ACCESS, "llc", 0, 1, origin="demand")
+        assert len(seen) == 2
+        # One unsubscribe drops one subscription (the earliest), whatever
+        # its scope; extra calls are no-ops.
+        bus.unsubscribe(EV.ACCESS, fn)
+        bus.publish(EV.ACCESS, "llc", 0, 2, origin="prefetch")
+        assert [ev.blk for ev in seen] == [1, 1, 2]
+        for _ in range(3):
+            bus.unsubscribe(EV.ACCESS, fn)
+            bus.unsubscribe(EV.LOOKUP_HIT, fn)
+        assert bus.subscriber_count() == 0
+        bus.publish(EV.ACCESS, "llc", 0, 3, origin="demand")
+        bus.publish(EV.LOOKUP_HIT, "l1d", 0, 4)
+        assert len(seen) == 3
+
     def test_subscriber_count_per_kind_and_total(self):
         bus = EventBus()
         a = lambda ev: None  # noqa: E731
