@@ -1,6 +1,6 @@
 """Span-profiler overhead: profiling must be free when off, cheap when on.
 
-Three guarantees, asserted every run:
+Four guarantees, asserted every run:
 
 1. **Off is off** — two ``REPRO_PROFILE``-unset executions of the same
    job are bit-identical (dataclass equality over every ``SimResult``

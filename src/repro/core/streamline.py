@@ -159,7 +159,6 @@ class StreamlinePrefetcher(Prefetcher):
         # publishes the LLC access event *before* the tag lookup, so a
         # partition resize here can still invalidate the line the lookup
         # is about to find — as in the hardware race it models.
-        self._stripe = (hier.core_id, cores)
         if self.dynamic:
             hier.bus.subscribe(EV.ACCESS, self._on_llc_demand,
                                origin=DEMAND)
@@ -174,11 +173,10 @@ class StreamlinePrefetcher(Prefetcher):
         """LLC-side dueling feed (any core's demand access; the
         subscription is scoped to the demand origin)."""
         blk = ev.blk
-        offset, step = self._stripe
-        llc_set = blk % (self.partitioner.llc_sets * step)
-        if llc_set % step != offset:
+        set_idx = self.controller.stripe_set(blk)
+        if set_idx < 0:
             return  # outside this core's stripe: common to all sizes
-        self.partitioner.observe_data(blk, set_idx=llc_set // step)
+        self.partitioner.observe_data(blk, set_idx=set_idx)
         if self.partitioner.epoch_elapsed:
             every_nth = self.partitioner.decide(self.store.every_nth)
             if every_nth != self.store.every_nth:
@@ -362,7 +360,5 @@ class StreamlinePrefetcher(Prefetcher):
         self._train(st, blk)
         candidates = self._prefetch(st, blk, degree)
 
-        delta = self.controller.traffic.total_accesses - before
-        for _ in range(delta):
-            self.hier.metadata_access(now)
+        self.controller.replay_traffic(self.hier, before, now)
         return candidates

@@ -24,18 +24,12 @@ The flow per demand access matches the paper's setup:
   through the shared LLC port (modelled with a busy-until clock), are
   charged to the owning prefetcher's :class:`PartitionController`, and
   appear on the bus as ``metadata-read``/``metadata-write`` events.
-
-Under ``REPRO_PROFILE=1`` the walk opens the same nested spans at every
-level (``lookup:l1d`` ⊃ ``lookup:l2`` ⊃ ``lookup:llc`` ⊃ ``dram``, plus
-``train:``/``issue:<pf>`` and ``metadata``); with the profiler off every
-span site is one ``None`` check.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..obs.profile import SpanProfiler
 from ..prefetchers.base import (Prefetcher, PrefetcherStats, TRAIN_SCOPES,
                                 TRAIN_SCOPE_ALL_L2)
 from .address import BLOCK_SHIFT
@@ -117,14 +111,12 @@ class CoreHierarchy:
     """One core's private L1D + L2 plus its view of the shared uncore."""
 
     def __init__(self, core_id: int, l1d: Cache, l2: Cache,
-                 uncore: SharedUncore,
-                 profiler: Optional[SpanProfiler] = None):
+                 uncore: SharedUncore):
         self.core_id = core_id
         self.l1d = l1d
         self.l2 = l2
         self.uncore = uncore
         self.bus = uncore.bus
-        self.profiler = profiler
         self.l1_prefetcher: Optional[Prefetcher] = None
         self.l2_prefetchers: List[Prefetcher] = []
         # Trainer closures subscribed on behalf of attached prefetchers,
@@ -181,75 +173,29 @@ class CoreHierarchy:
         """L1D training: every demand lookup at this core's L1D (the
         subscription is scoped to ``l1d``; the core is tested here)."""
         core_id = self.core_id
-        prof = self.profiler
-        if prof is None:
-            def train(ev: HierarchyEvent) -> None:
-                if ev.core_id != core_id:
-                    return
-                for cand in pf.train(ev.pc, ev.blk, ev.hit,
-                                     ev.was_prefetched, ev.now):
-                    self.issue_prefetch(cand, ev.pc, ev.now, pf.owner_id,
-                                        "l1d")
-            return train
-        train_span = "train:" + pf.name
-        issue_span = "issue:" + pf.name
 
-        def train_profiled(ev: HierarchyEvent) -> None:
+        def train(ev: HierarchyEvent) -> None:
             if ev.core_id != core_id:
                 return
-            prof.start(train_span)
-            try:
-                cands = list(pf.train(ev.pc, ev.blk, ev.hit,
-                                      ev.was_prefetched, ev.now))
-            finally:
-                prof.stop()
-            if cands:
-                prof.start(issue_span)
-                try:
-                    for cand in cands:
-                        self.issue_prefetch(cand, ev.pc, ev.now,
-                                            pf.owner_id, "l1d")
-                finally:
-                    prof.stop()
-        return train_profiled
+            for cand in pf.train(ev.pc, ev.blk, ev.hit, ev.was_prefetched,
+                                 ev.now):
+                self.issue_prefetch(cand, ev.pc, ev.now, pf.owner_id, "l1d")
+        return train
 
     def _make_l2_trainer(self, pf: Prefetcher):
         """L2 training: gated by the prefetcher's declared train_scope."""
         all_l2 = pf.train_scope == TRAIN_SCOPE_ALL_L2
         core_id = self.core_id
-        prof = self.profiler
-        if prof is None:
-            def train(ev: HierarchyEvent) -> None:
-                if ev.core_id != core_id:
-                    return
-                if all_l2 or not ev.hit or ev.was_prefetched:
-                    for cand in pf.train(ev.pc, ev.blk, ev.hit,
-                                         ev.was_prefetched, ev.now):
-                        self.issue_prefetch(cand, ev.pc, ev.now,
-                                            pf.owner_id, "l2")
-            return train
-        train_span = "train:" + pf.name
-        issue_span = "issue:" + pf.name
 
-        def train_profiled(ev: HierarchyEvent) -> None:
+        def train(ev: HierarchyEvent) -> None:
             if ev.core_id != core_id:
                 return
             if all_l2 or not ev.hit or ev.was_prefetched:
-                prof.start(train_span)
-                try:
-                    cands = list(pf.train(ev.pc, ev.blk, ev.hit,
-                                          ev.was_prefetched, ev.now))
-                finally:
-                    prof.stop()
-                if cands:
-                    prof.start(issue_span)
-                    try:
-                        for cand in cands:
-                            self.issue_prefetch(cand, ev.pc, ev.now,
-                                                pf.owner_id, "l2")
-                    finally:
-                        prof.stop()
-        return train_profiled
+                for cand in pf.train(ev.pc, ev.blk, ev.hit,
+                                     ev.was_prefetched, ev.now):
+                    self.issue_prefetch(cand, ev.pc, ev.now, pf.owner_id,
+                                        "l2")
+        return train
 
     # -- the demand path ---------------------------------------------------------
 
@@ -267,20 +213,13 @@ class CoreHierarchy:
         blk = addr >> BLOCK_SHIFT
         bus = self.bus
         core_id = self.core_id
-        prof = self.profiler
-        if prof is not None:
-            prof.start("lookup:l1d")
         hit, latency, was_pf, owner = self.l1d.lookup(blk, now, is_write)
         bus.publish(EV.LOOKUP_HIT if hit else EV.LOOKUP_MISS, "l1d",
                     core_id, blk, pc, DEMAND, now, hit, was_pf, owner)
         if hit:
             if was_pf:
                 self._prefetch_useful("l1d", blk, now, owner)
-            if prof is not None:
-                prof.stop()
             return latency
-        if prof is not None:
-            prof.start("lookup:l2")
         hit, lat, was_pf, owner = self.l2.lookup(blk, now + latency)
         bus.publish(EV.LOOKUP_HIT if hit else EV.LOOKUP_MISS, "l2",
                     core_id, blk, pc, DEMAND, now, hit, was_pf, owner)
@@ -291,11 +230,7 @@ class CoreHierarchy:
         else:
             latency += self._llc_access(blk, pc, now + latency, DEMAND)
             self._fill(self.l2, blk, now + latency, pc)
-        if prof is not None:
-            prof.stop()
         self._fill(self.l1d, blk, now + latency, pc)
-        if prof is not None:
-            prof.stop()
         if not hit:
             self.uncovered_misses += 1
         bus.publish(EV.DEMAND_COMPLETE, "l2", core_id, blk, pc, DEMAND,
@@ -309,9 +244,6 @@ class CoreHierarchy:
         Returns the whole uncore contribution from ``now``: port delay +
         LLC latency, plus DRAM on a miss.
         """
-        prof = self.profiler
-        if prof is not None:
-            prof.start("lookup:llc")
         uncore = self.uncore
         bus = self.bus
         core_id = self.core_id
@@ -324,12 +256,8 @@ class CoreHierarchy:
                     core_id, blk, pc, origin, now, hit, was_pf, owner)
         lat = delay + lat
         if not hit:
-            if prof is not None:
-                prof.start("dram")
             lat += uncore.dram.access(blk, now + lat,
                                       is_prefetch=origin == PREFETCH)
-            if prof is not None:
-                prof.stop()
             ready = now + lat
             victim = llc.fill(blk, ready, pc)
             bus.publish(EV.FILL, "llc", core_id, blk, pc, origin, ready)
@@ -339,8 +267,6 @@ class CoreHierarchy:
                             victim.owner, victim.dirty)
                 if victim.dirty:
                     uncore.dram.access(victim.blk, ready, is_write=True)
-        if prof is not None:
-            prof.stop()
         return lat
 
     def _fill(self, cache: Cache, blk: int, ready: float, pc: int,
@@ -455,16 +381,11 @@ class CoreHierarchy:
 
     def metadata_access(self, now: float, is_write: bool = False) -> float:
         """One metadata block access through the shared LLC port."""
-        prof = self.profiler
-        if prof is not None:
-            prof.start("metadata")
         uncore = self.uncore
         uncore.metadata_llc_accesses += 1
         delay = uncore.port_delay(now)
         self.bus.publish(EV.METADATA_WRITE if is_write else EV.METADATA_READ,
                          "llc", self.core_id, -1, 0, METADATA, now)
-        if prof is not None:
-            prof.stop()
         return delay + uncore.llc.latency
 
     # -- stats ----------------------------------------------------------------

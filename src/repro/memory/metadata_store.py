@@ -18,7 +18,7 @@ counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from .address import BLOCK_SIZE
 from .cache import Cache
@@ -65,6 +65,8 @@ class PartitionController:
         self.traffic = MetadataTraffic()
         self.current_bytes = 0
         self._mode = "none"
+        # LLC sets of every stripe together (the stripe test's modulus).
+        self._stripe_sets = self.own_sets * stripe_step
 
     # -- geometry ---------------------------------------------------------
 
@@ -74,6 +76,15 @@ class PartitionController:
         if self.llc is None:
             return 0
         return self.llc.num_sets // self.stripe_step
+
+    def stripe_set(self, blk: int) -> int:
+        """This stripe's own index of ``blk``'s LLC set, or -1 when the
+        set belongs to another core's stripe (needs an LLC)."""
+        step = self.stripe_step
+        llc_set = blk % self._stripe_sets
+        if llc_set % step != self.stripe_offset:
+            return -1
+        return llc_set // step
 
     def _owned_llc_sets(self):
         """(own index, LLC set index) pairs for this stripe."""
@@ -146,6 +157,14 @@ class PartitionController:
 
     def record_rearrangement(self, moved_blocks: int) -> None:
         self.traffic.rearrange_moves += moved_blocks
+
+    def replay_traffic(self, hier: Any, before: int, now: float) -> None:
+        """Occupy ``hier``'s LLC port with the traffic recorded since
+        ``before`` (a ``traffic.total_accesses`` reading): one metadata
+        read per block access, all at ``now``."""
+        access = hier.metadata_access
+        for _ in range(self.traffic.total_accesses - before):
+            access(now)
 
     # -- checkpointing ----------------------------------------------------
 

@@ -4,21 +4,25 @@
 :meth:`repro.runner.jobs.SimJob.execute` carry a nested-span timing
 profile: the job phases (trace/engine build, warm-up, measured region,
 collect, checkpoint I/O, probes) and the hot-path components inside them
-(per-level cache lookups, DRAM service, per-prefetcher train and issue,
-metadata port traffic).  The profile is attached to single-core
-``SimResult``s (``SimResult.profile``) and shipped with the run log's
-``job_end`` record, where ``python -m repro obs report`` aggregates it
-across a sweep.
+(the demand walk, per-level cache lookups, DRAM service, per-prefetcher
+train and issue, metadata port traffic).  The profile is attached to
+single-core ``SimResult``s (``SimResult.profile``) and shipped with the
+run log's ``job_end`` record, where ``python -m repro obs report``
+aggregates it across a sweep.
 
-Default-off is free: nothing here allocates or runs unless a profiler is
-active — instrumented call sites hold a ``None`` reference and branch on
-it, mirroring the telemetry subsystem's zero-subscriber guarantee.  The
-profiler only *reads* ``perf_counter``; it never touches simulation
-state, so profiled runs produce bit-identical ``SimResult`` numbers
-(asserted by ``benchmarks/bench_obs_overhead.py``).
+The simulator knows nothing of this module.  Phases open through
+:func:`span`, which is a no-op unless a job profiler is active; the
+components are attached by :func:`instrument`, which wraps the methods
+of one freshly built engine's own objects (instance attributes, so the
+classes stay untouched and nothing is restored: the wrappers die with
+the engine).  With the profiler off neither does anything, so the
+default path runs the plain simulator.  The profiler only *reads*
+``perf_counter``; it never touches simulation state, so profiled runs
+produce bit-identical ``SimResult`` numbers (asserted by
+``benchmarks/bench_obs_overhead.py``).
 
 Span identity is the ``/``-joined path of span *names* from the root
-(``job/measure/lookup:l1d/lookup:l2``).  Names use ``:`` for their own
+(``job/measure/access/lookup:l2``).  Names use ``:`` for their own
 namespacing (``lookup:l2``, ``train:streamline``) so ``/`` stays a pure
 path separator.  Aggregation happens at ``stop()`` time into a flat
 ``path -> [total, self, count]`` dict — no per-span objects survive, so
@@ -28,9 +32,10 @@ dict update per span, not a 100K-node tree.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, \
+    Optional
 
 from ..envknobs import env_flag
 
@@ -155,9 +160,9 @@ class SpanProfiler:
 # -- the per-process active profiler -------------------------------------------
 #
 # One job executes at a time per process (the runner's parallelism is
-# process-level), so a module global is the natural scope: the engine,
-# hierarchy, and trace cache pick the active profiler up at build time
-# without every constructor threading it through.
+# process-level), so a module global is the natural scope: phase spans
+# and :func:`instrument` find the job's profiler here, and no simulator
+# constructor carries it.
 
 _current: Optional[SpanProfiler] = None
 
@@ -186,3 +191,73 @@ def end_job(profiler: Optional[SpanProfiler]) -> None:
     profiler.close()
     if _current is profiler:
         _current = None
+
+
+def span(name: str) -> ContextManager[None]:
+    """A span of the active job profiler; a no-op when none is active."""
+    return _current.span(name) if _current is not None else nullcontext()
+
+
+# -- component spans on a built engine ---------------------------------------
+
+
+def instrument(engine: Any) -> None:
+    """Span the hot-path components of one freshly built engine.
+
+    A no-op unless a job profiler is active.  Each wrapper is set on the
+    engine's own object, shadowing the class method for that instance
+    only:
+
+    * ``access`` — ``CoreHierarchy.access``; its self time is the rest
+      of the demand walk (event dispatch, fills, writebacks);
+    * ``lookup:l1d`` / ``lookup:l2`` — that core's ``Cache.lookup``
+      (the tag lookup alone);
+    * ``lookup:llc`` — ``CoreHierarchy._llc_access`` (port, LLC, DRAM
+      on a miss, LLC fill);
+    * ``dram`` — ``DRAM.access``, writeback accesses included;
+    * ``metadata`` — ``CoreHierarchy.metadata_access``;
+    * ``train:<pf>`` — each prefetcher's ``train``;
+    * ``issue:<pf>`` — ``CoreHierarchy.issue_prefetch``, named by the
+      issuing owner and opened once per candidate.
+
+    ``Cache.fill`` and ``EventBus.publish`` stay unwrapped: spanning
+    them would cost more than they tell.
+    """
+    profiler = _current
+    if profiler is None:
+        return
+    start, stop = profiler.start, profiler.stop
+
+    def timed(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            start(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stop()
+        return wrapper
+
+    uncore = engine.uncore
+    issue_spans = {owner: "issue:" + pf.name
+                   for owner, pf in uncore.prefetchers.items()}
+
+    def timed_issue(issue: Callable[..., bool]) -> Callable[..., bool]:
+        def issue_prefetch(blk: int, pc: int, now: float, owner: int,
+                           target: str = "l2") -> bool:
+            start(issue_spans[owner])
+            try:
+                return issue(blk, pc, now, owner, target)
+            finally:
+                stop()
+        return issue_prefetch
+
+    uncore.dram.access = timed("dram", uncore.dram.access)
+    for pf in uncore.prefetchers.values():
+        pf.train = timed("train:" + pf.name, pf.train)
+    for core in engine.cores:
+        core.access = timed("access", core.access)
+        core.l1d.lookup = timed("lookup:l1d", core.l1d.lookup)
+        core.l2.lookup = timed("lookup:l2", core.l2.lookup)
+        core._llc_access = timed("lookup:llc", core._llc_access)
+        core.metadata_access = timed("metadata", core.metadata_access)
+        core.issue_prefetch = timed_issue(core.issue_prefetch)

@@ -99,9 +99,7 @@ class TriagePrefetcher(Prefetcher):
             cur = target
         self._maybe_resize()
         # Metadata traffic occupies the shared LLC port.
-        delta = self.controller.traffic.total_accesses - before
-        for _ in range(delta):
-            self.hier.metadata_access(now)
+        self.controller.replay_traffic(self.hier, before, now)
         return candidates
 
     def state_dict(self):

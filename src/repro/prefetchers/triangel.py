@@ -206,7 +206,6 @@ class TriangelPrefetcher(Prefetcher):
         # Set dueling is an LLC-side mechanism: it observes every core's
         # demand traffic to this core's stripe, and keeps epochs moving
         # even when this core itself rarely misses in the L2.
-        self._stripe = (hier.core_id, cores)
         self._duel_events = 0
         if self.adaptive and not self.dedicated:
             hier.bus.subscribe(EV.ACCESS, self._on_llc_demand,
@@ -222,11 +221,10 @@ class TriangelPrefetcher(Prefetcher):
         """LLC-side dueling feed (any core's demand access; the
         subscription is scoped to the demand origin)."""
         blk = ev.blk
-        offset, step = self._stripe
-        llc_set = blk % (self.partitioner.llc_sets * step)
-        if llc_set % step != offset:
+        set_idx = self.controller.stripe_set(blk)
+        if set_idx < 0:
             return
-        self.partitioner.observe_data(blk, set_idx=llc_set // step)
+        self.partitioner.observe_data(blk, set_idx=set_idx)
         self._duel_events += 1
         if self._duel_events >= self.resize_epoch:
             self._duel_events = 0
@@ -316,9 +314,7 @@ class TriangelPrefetcher(Prefetcher):
                 break
             candidates.append(target)
             cur = target
-        delta = self.controller.traffic.total_accesses - before
-        for _ in range(delta):
-            self.hier.metadata_access(now)
+        self.controller.replay_traffic(self.hier, before, now)
         return candidates
 
     def finalize(self, now: float) -> None:

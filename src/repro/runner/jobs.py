@@ -14,10 +14,8 @@ import dataclasses
 import hashlib
 import json
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, ContextManager, Dict, Optional, Sequence, Tuple, \
-    Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..checkpoint import FORMAT_VERSION as CKPT_FORMAT_VERSION
 from ..checkpoint import CheckpointStore, checkpoint_enabled, get_store, \
@@ -25,7 +23,6 @@ from ..checkpoint import CheckpointStore, checkpoint_enabled, get_store, \
 from ..obs import profile as obs_profile
 from ..obs import runlog as obs_runlog
 from ..obs import trace as obs_trace
-from ..obs.profile import SpanProfiler
 from ..sim.config import SystemConfig
 from ..sim.multicore import MulticoreResult
 from ..sim.stats import SimResult
@@ -299,14 +296,20 @@ class SimJob:
         exists or the job has no warm-up boundary to snapshot).
         """
         store = store if store is not None else get_store()
-        key = self.warmup_fingerprint()
-        if store.has(key):
+        if store.has(self.warmup_fingerprint()):
             return False
-        engine = self._build_engine()
-        engine.run_warmup()
-        if not engine.warmed:
-            return False  # zero-length warm-up: nothing to share
-        store.put(key, engine.state_dict(), self._ckpt_meta("warmup"))
+        return self._warm_up(self._build_engine(), store)
+
+    def _warm_up(self, engine, store: Optional[CheckpointStore]) -> bool:
+        """Drive ``engine`` to its warm-up boundary and, given a store,
+        record the warm-up snapshot; True when one was written."""
+        with obs_profile.span("warmup"):
+            engine.run_warmup()
+        if store is None or not engine.warmed:
+            return False  # or a zero-length warm-up: nothing to share
+        with obs_profile.span("ckpt:save"):
+            store.put(self.warmup_fingerprint(), engine.state_dict(),
+                      self._ckpt_meta("warmup"))
         return True
 
     def _label(self) -> str:
@@ -319,19 +322,23 @@ class SimJob:
     def execute(self) -> "JobResult":
         """Run the simulation in this process (deterministic).
 
-        With ``resume=True`` (and ``REPRO_CKPT`` not disabled) the
-        warm-up region is restored from the checkpoint store when a
-        snapshot exists — and recorded when it doesn't — and, when
-        ``REPRO_CKPT_MARK`` is set, periodic progress marks make an
-        interrupted run restartable from its last mark.  Every path
-        produces bit-identical results to a straight run.
+        With ``resume=True`` (and ``REPRO_CKPT`` not disabled) the job
+        restores its last progress mark, else its warm-up snapshot, from
+        the checkpoint store — and records the warm-up when neither
+        restores — and, when ``REPRO_CKPT_MARK`` is set, periodic
+        progress marks make an interrupted run restartable from its last
+        mark.  Every path produces bit-identical results to a straight
+        run.
 
         Under ``REPRO_PROFILE=1`` the run is additionally wrapped in a
-        span profiler (the engine and hierarchy pick it up at build
-        time); simulated numbers stay bit-identical, and the profile is
-        attached to single-core results and to the ``job_end`` run-log
-        record.  Run-log records are emitted whenever a writer is
-        installed for this process (the runner's pool initializer).
+        span profiler: the phases below open
+        :func:`repro.obs.profile.span`, and
+        :func:`repro.obs.profile.instrument` spans the components of
+        every engine this job builds.  Simulated numbers stay
+        bit-identical, and the profile is attached to single-core
+        results and to the ``job_end`` run-log record.  Run-log records
+        are emitted whenever a writer is installed for this process (the
+        runner's pool initializer).
         """
         prof = obs_profile.start_job()
         log = obs_runlog.current()
@@ -343,7 +350,7 @@ class SimJob:
                      workloads=list(self.workloads), n=self.n,
                      prefetcher=self._label())
         try:
-            result, restored = self._execute_impl(prof)
+            result, restored = self._execute_impl()
         finally:
             obs_profile.end_job(prof)
         profile = prof.report() if prof is not None else None
@@ -369,57 +376,39 @@ class SimJob:
                      profile=profile)
         return result
 
-    def _execute_impl(self, prof: Optional[SpanProfiler]) \
-            -> Tuple["JobResult", bool]:
+    def _execute_impl(self) -> Tuple["JobResult", bool]:
         """The execution body; returns (result, restored-from-ckpt)."""
 
-        def span(name: str) -> ContextManager[None]:
-            return prof.span(name) if prof is not None else nullcontext()
+        def build():
+            with obs_profile.span("build"):
+                engine = self._build_engine()
+            obs_profile.instrument(engine)
+            return engine
 
-        with span("build"):
-            engine = self._build_engine()
+        engine = build()
         store = get_store() if (self.resume and checkpoint_enabled()) \
             else None
         progress_key = "p-" + self.fingerprint()
         restored = False
         if store is not None:
-            with span("ckpt:load"):
-                state = store.get(progress_key)
-            if state is None:
-                warm_key = self.warmup_fingerprint()
-                with span("ckpt:load"):
-                    state = store.get(warm_key)
-                if state is not None:
+            # The last progress mark, else the shared warm-up snapshot;
+            # a snapshot this engine cannot load is evicted, and the
+            # next one goes to a fresh engine.
+            for key in (progress_key, self.warmup_fingerprint()):
+                with obs_profile.span("ckpt:load"):
+                    state = store.get(key)
+                    if state is None:
+                        continue
                     try:
-                        with span("ckpt:load"):
-                            engine.load_state(state)
+                        engine.load_state(state)
                         restored = True
+                        break
                     except (ValueError, RuntimeError, KeyError,
                             TypeError) as exc:
-                        store.evict(warm_key,
-                                    f"load_state failed: {exc!r}")
-                        with span("build"):
-                            engine = self._build_engine()
-                if not restored:
-                    engine.run_warmup()
-                    if engine.warmed:
-                        with span("ckpt:save"):
-                            store.put(warm_key, engine.state_dict(),
-                                      self._ckpt_meta("warmup"))
-            else:
-                try:
-                    with span("ckpt:load"):
-                        engine.load_state(state)
-                    restored = True
-                except (ValueError, RuntimeError, KeyError,
-                        TypeError) as exc:
-                    store.evict(progress_key,
-                                f"load_state failed: {exc!r}")
-                    with span("build"):
-                        engine = self._build_engine()
-                    engine.run_warmup()
-        else:
-            engine.run_warmup()
+                        store.evict(key, f"load_state failed: {exc!r}")
+                engine = build()
+        if not restored:
+            self._warm_up(engine, store)
         self._apply_overrides(engine)
         if store is not None:
             every = mark_interval()
@@ -430,15 +419,15 @@ class SimJob:
                     store.put(progress_key, e.state_dict(), meta)
 
                 engine.set_mark_hook(every, on_mark)
-        engine.run()
+        with obs_profile.span("measure"):
+            engine.run()
         if store is not None:
             store.remove(progress_key)
-        if self.kind == SINGLE:
-            value: Union[SimResult, MulticoreResult] = \
-                engine.collect()[0]
-        else:
-            value = MulticoreResult(cores=engine.collect())
-        with span("probes"):
+        with obs_profile.span("collect"):
+            cores = engine.collect()
+        value: Union[SimResult, MulticoreResult] = cores[0] \
+            if self.kind == SINGLE else MulticoreResult(cores=cores)
+        with obs_profile.span("probes"):
             context = ProbeContext(prefetchers=engine.l2_prefetchers,
                                    engine=engine)
             probe_values = run_probes(self.probes, context)

@@ -21,8 +21,7 @@ run-log records report them per job for cache-effectiveness review
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import ContextManager, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..obs import profile as obs_profile
 from ..tracestream.store import StreamingTrace, TraceStore, default_root
@@ -56,10 +55,7 @@ def get_trace(workload: str, n: int, seed: int) -> StreamingTrace:
         # Generate → persist → replay from disk; a racing worker's
         # entry is adopted atomically inside put().  Generation is the
         # expensive path worth attributing; hits stay unspanned.
-        prof = obs_profile.current()
-        span: ContextManager[None] = prof.span("trace") \
-            if prof is not None else nullcontext()
-        with span:
+        with obs_profile.span("trace"):
             trace = store.put(workload, n, seed,
                               make_chunks(workload, n, seed))
     _handles[key] = trace

@@ -31,7 +31,6 @@ from ..memory.cache import Cache
 from ..memory.dram import DRAM
 from ..memory.events import EventBus
 from ..memory.hierarchy import CoreHierarchy, SharedUncore
-from ..obs import profile as obs_profile
 from ..prefetchers.base import Prefetcher
 from ..telemetry import TelemetryHarness
 from ..tracestream.chunk import Record
@@ -131,15 +130,14 @@ def build_uncore(config: SystemConfig) -> SharedUncore:
 def build_core(core_id: int, config: SystemConfig,
                uncore: SharedUncore,
                l1_prefetcher: Optional[PrefetcherFactory] = None,
-               l2_prefetchers: Sequence[PrefetcherFactory] = (),
-               profiler: Optional[obs_profile.SpanProfiler] = None
+               l2_prefetchers: Sequence[PrefetcherFactory] = ()
                ) -> CoreHierarchy:
     """Construct one core's private hierarchy and attach its prefetchers."""
     l1d = Cache("L1D", config.l1d_size, config.l1d_ways, config.l1d_latency,
                 replacement="lru")
     l2 = Cache("L2", config.l2_size, config.l2_ways, config.l2_latency,
                replacement="lru")
-    core = CoreHierarchy(core_id, l1d, l2, uncore, profiler=profiler)
+    core = CoreHierarchy(core_id, l1d, l2, uncore)
     if l1_prefetcher is not None:
         core.attach_l1_prefetcher(l1_prefetcher())
     for factory in l2_prefetchers:
@@ -219,13 +217,10 @@ class Engine:
         if config.num_cores != num_cores:
             config = config.scaled(num_cores=num_cores)
         self.config = config
-        # The active span profiler (None unless REPRO_PROFILE=1): captured
-        # at build time so the hot path branches on a bound attribute.
-        self._prof = obs_profile.current()
         self.uncore = build_uncore(config)
         self.bus: EventBus = self.uncore.bus
         self.cores = [build_core(i, config, self.uncore, l1_prefetcher,
-                                 l2_prefetchers, profiler=self._prof)
+                                 l2_prefetchers)
                       for i in range(num_cores)]
         self.models = [CoreModel(config) for _ in range(num_cores)]
         if warmup_counts is not None:
@@ -409,14 +404,7 @@ class Engine:
     def _warm_up(self) -> None:
         if self.warmed or any(w == 0 for w in self._warmups):
             return
-        prof = self._prof
-        if prof is not None:
-            prof.start("warmup")
-        try:
-            self._drive(until_warm=True)
-        finally:
-            if prof is not None:
-                prof.stop()
+        self._drive(until_warm=True)
 
     def set_mark_hook(self, every: int,
                       callback: Callable[["Engine"], None]) -> None:
@@ -439,14 +427,7 @@ class Engine:
             raise RuntimeError("Engine.run() may only be called once")
         self._start()
         self._warm_up()
-        prof = self._prof
-        if prof is not None:
-            prof.start("measure")
-        try:
-            self._drive(until_warm=False)
-        finally:
-            if prof is not None:
-                prof.stop()
+        self._drive(until_warm=False)
         self._ran = True
         return self
 
@@ -540,16 +521,6 @@ class Engine:
         result (``SimResult.events``) for observability and the
         conservation checks.
         """
-        prof = self._prof
-        if prof is not None:
-            prof.start("collect")
-        try:
-            return self._collect_impl()
-        finally:
-            if prof is not None:
-                prof.stop()
-
-    def _collect_impl(self) -> List[SimResult]:
         if self.telemetry is not None:
             self.telemetry.finalize()
         events = self.bus.counts_flat() if self.num_cores == 1 else None

@@ -374,6 +374,39 @@ def test_job_corrupt_checkpoint_falls_back(tmp_path, monkeypatch):
     assert store.has(key)  # re-recorded after the fallback re-simulation
 
 
+def test_job_unloadable_progress_falls_back_to_warmup(tmp_path,
+                                                      monkeypatch):
+    """A progress snapshot the job cannot load is evicted, and the
+    stored warm-up snapshot still restores (no warm-up re-simulation)."""
+    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_CKPT", "1")
+    job = SimJob.single("gap.pr", 8000, run_config(), l2=["streamline"],
+                        resume=True)
+    straight = dataclasses.replace(job, resume=False).execute().single
+    assert job.prewarm()
+    # A triangel-shaped state under this streamline job's progress key.
+    other = SimJob.single("gap.pr", 8000, run_config(),
+                          l2=["triangel"])._build_engine()
+    other.run_warmup()
+    store = CheckpointStore(tmp_path)
+    progress_key = "p-" + job.fingerprint()
+    store.put(progress_key, other.state_dict(), {"phase": "progress"})
+
+    warmups = []
+    run_warmup = Engine.run_warmup
+
+    def counting(engine):
+        warmups.append(engine)
+        return run_warmup(engine)
+
+    monkeypatch.setattr(Engine, "run_warmup", counting)
+    with pytest.warns(UserWarning, match="load_state failed"):
+        assert job.execute().single == straight
+    assert warmups == []
+    assert not store.has(progress_key)
+    assert store.has(job.warmup_fingerprint())
+
+
 def test_ckpt_disabled_skips_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_CKPT", "0")

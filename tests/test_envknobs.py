@@ -2,7 +2,10 @@
 
 The helpers there validate every value the same way (a junk value
 raises naming the variable); a module reading ``os.environ`` itself
-would bypass that, so no module but ``envknobs.py`` may.  The bench
+would bypass that, so no module but ``envknobs.py`` may.  Likewise the
+simulator (``repro.memory``, ``repro.sim``, ``repro.core``,
+``repro.prefetchers``) imports nothing from ``repro.obs``: profiling
+wraps a built engine from outside.  The bench
 scripts size their runs through the same ``REPRO_N``/``REPRO_QUICK``
 helpers as ``repro.experiments``.  The knob table in
 ``benchmarks/README.md`` lists exactly the knobs ``src/`` reads.
@@ -49,6 +52,49 @@ def test_the_scan_sees_environment_reads(tmp_path):
     probe.write_text("import os\nfrom os import getenv\n"
                      "x = os.environ.get('REPRO_X')\n")
     assert list(_environ_reads(probe)) == [2, 3]
+
+
+#: The simulator's packages: none of their modules may import
+#: ``repro.obs``.
+SIMULATOR = ("memory", "sim", "core", "prefetchers")
+
+
+def _obs_imports(path: pathlib.Path, package: str):
+    """Line numbers where ``path`` (a module of ``package``) imports
+    ``repro.obs`` or anything under it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = parts[:len(parts) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names = [module] + [f"{module}.{alias.name}"
+                                for alias in node.names]
+        else:
+            continue
+        if any(n == "repro.obs" or n.startswith("repro.obs.")
+               for n in names):
+            yield node.lineno
+
+
+def test_the_simulator_imports_no_observer():
+    offenders = [f"{path.relative_to(SRC)}:{line}"
+                 for sub in SIMULATOR
+                 for path in sorted((SRC / sub).rglob("*.py"))
+                 for line in _obs_imports(
+                     path, ".".join(("repro",) + path.relative_to(
+                         SRC).parent.parts))]
+    assert offenders == []
+
+
+def test_the_scan_sees_observer_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from ..obs.profile import SpanProfiler\n"
+                     "import repro.obs\nfrom .. import obs\n"
+                     "from ..observer import x\nfrom . import obs\n")
+    assert list(_obs_imports(probe, "repro.memory")) == [1, 2, 3]
 
 
 def test_knob_table_lists_exactly_the_knobs_src_reads():

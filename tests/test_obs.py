@@ -167,6 +167,63 @@ class TestProfiledExecution:
         # The active profiler never leaks past the job.
         assert profile.current() is None
 
+    def test_profiled_components_and_phases(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        payload = _tiny_job(pf="streamline").execute().single.profile
+        assert {"access", "dram", "metadata", "train:streamline",
+                "issue:streamline"} <= set(payload["components"])
+        assert set(payload["phases"]) == \
+            {"build", "warmup", "measure", "collect", "probes"}
+
+    def test_restored_engine_is_instrumented(self, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CKPT", "1")
+        job = dataclasses.replace(_tiny_job(pf="streamline"), resume=True)
+        straight = job.execute().single  # records the warm-up
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        profiled = job.execute().single  # restores it
+        payload = profiled.profile
+        assert "ckpt:load" in payload["phases"]
+        assert "warmup" not in payload["phases"]
+        assert {"lookup:l1d", "train:streamline"} <= \
+            set(payload["components"])
+        assert dataclasses.replace(profiled, profile=None) == straight
+
+    def test_profiled_multicore_job_end(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        job = SimJob.multi(("gap.pr", "gap.bfs"), 2000,
+                           SystemConfig().scaled_down(8), l1="stride",
+                           l2=(spec("streamline"),))
+        _runner().run([job])
+        records = runlog.load_runlog(
+            runlog.list_runs(tmp_path)[-1] / runlog.MERGED)
+        end = next(r for r in records if r["event"] == "job_end")
+        components = end["profile"]["components"]
+        assert {"train:streamline", "lookup:llc"} <= set(components)
+        # Both cores walk the hierarchy under one profile.
+        assert components["access"]["count"] == 2 * 2000
+
+    def test_profiling_leaves_the_classes_untouched(self, monkeypatch):
+        """Spans wrap one engine's objects, never the classes that
+        ``perfbench/layers.py`` wraps."""
+        from repro.core.streamline import StreamlinePrefetcher
+        from repro.memory.cache import Cache
+        from repro.memory.dram import DRAM
+        from repro.memory.hierarchy import CoreHierarchy
+        methods = {(cls, name): cls.__dict__[name] for cls, name in (
+            (Cache, "lookup"), (DRAM, "access"),
+            (CoreHierarchy, "access"), (CoreHierarchy, "issue_prefetch"),
+            (CoreHierarchy, "metadata_access"),
+            (StreamlinePrefetcher, "train"))}
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        assert _tiny_job(pf="streamline").execute().single.profile
+        for (cls, name), fn in methods.items():
+            assert cls.__dict__[name] is fn
+            assert fn.__qualname__ == f"{cls.__name__}.{name}"
+
     def test_profiled_run_bypasses_cache(self, monkeypatch):
         runner = _runner()
         job = _tiny_job()

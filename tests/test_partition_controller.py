@@ -74,6 +74,18 @@ class TestStriping:
                                   stripe_step=4)
         assert ctl.own_sets == llc.num_sets // 4
 
+    def test_stripe_set_matches_owned_sets(self):
+        llc = make_llc()
+        ctls = [PartitionController(llc, 1 << 20, stripe_offset=i,
+                                    stripe_step=4) for i in range(4)]
+        for blk in range(3 * llc.num_sets):
+            owners = [(i, ctl.stripe_set(blk))
+                      for i, ctl in enumerate(ctls)
+                      if ctl.stripe_set(blk) >= 0]
+            assert len(owners) == 1  # exactly one stripe per block
+            i, own = owners[0]
+            assert own * 4 + i == blk % llc.num_sets
+
     def test_invalid_stripe_rejected(self):
         with pytest.raises(ValueError):
             PartitionController(None, 1, stripe_offset=2, stripe_step=2)
@@ -95,3 +107,21 @@ class TestTraffic:
         assert ctl.traffic.reads == 1
         assert ctl.traffic.writes == 2
         assert ctl.traffic.rearrange_moves == 5
+
+    def test_replay_reads_the_delta_on_the_port(self):
+        class Port:
+            def __init__(self):
+                self.reads = []
+
+            def metadata_access(self, now, is_write=False):
+                assert not is_write
+                self.reads.append(now)
+
+        ctl = PartitionController(None, 1)
+        ctl.record_read(2)
+        before = ctl.traffic.total_accesses
+        ctl.record_write()
+        ctl.record_rearrangement(1)  # a read plus a write
+        port = Port()
+        ctl.replay_traffic(port, before, 7.0)
+        assert port.reads == [7.0] * 3
